@@ -15,6 +15,7 @@
 //                        [--iterations N] [--samples N] [--seed N]
 //                        [--budget-ms N] [--dot FILE]
 //   rca-tool centrality  --graph FILE [--kind KIND] [--top N] [--modules]
+//                        [--samples N] [--seed N]
 //   rca-tool analyze     --experiment NAME [--runtime-sampling]
 //                        [--members N] [--seed N] [--jobs N]
 //                        [--snapshot DIR] [--graph-out FILE]
@@ -80,9 +81,7 @@
 #include "graph/centrality.hpp"
 #include "graph/degree_dist.hpp"
 #include "graph/dot_export.hpp"
-#include "graph/girvan_newman.hpp"
-#include "graph/louvain.hpp"
-#include "graph/nonbacktracking.hpp"
+#include "graph/methods.hpp"
 #include "lang/parser.hpp"
 #include "meta/builder.hpp"
 #include "meta/serialize.hpp"
@@ -130,6 +129,18 @@ int usage() {
       "               pipeline, report top-m hit-rate\n"
       "  watch        keep a resident session patched as sources change\n"
       "\n"
+      "communities options:\n"
+      "  --method M           "
+   << graph::community_method_names() << " (default gn); gn over\n"
+      "                       --budget-ms falls back to louvain\n"
+      "\n"
+      "centrality options:\n"
+      "  --kind KIND          "
+   << graph::centrality_names() << "\n"
+      "                       (default eigenvector)\n"
+      "  --samples N          betweenness pivot sample size (0 = exact),\n"
+      "  --seed N             and its seed (default 2019)\n"
+      "\n"
       "refine options:\n"
       "  --scenario NAME      planted scenario (see `score`); generates the\n"
       "                       corpus and derives ground truth + criteria\n"
@@ -138,7 +149,8 @@ int usage() {
       "  --src DIR            session campaign over an on-disk corpus\n"
       "  --bug NAME           ground-truth canonical name(s) (session mode)\n"
       "  --target/--output    slicing criteria (session mode)\n"
-      "  --method gn|louvain  community detector (default gn)\n"
+      "  --method M           community detector, "
+   << graph::community_method_names() << " (default gn)\n"
       "  --top N              ranked sites reported (default 10)\n"
       "  --json FILE          also write the result document to FILE\n"
       "\n"
@@ -585,39 +597,27 @@ int cmd_slice(const Args& args) {
 
 int cmd_communities(const Args& args) {
   meta::Metagraph mg = load_graph(args);
-  const std::string method = args.get("method", "gn");
-  const std::size_t min_size =
-      static_cast<std::size_t>(args.get_int("min-size", 3));
-
-  std::vector<std::vector<graph::NodeId>> communities;
-  if (method == "louvain") {
-    graph::LouvainOptions opts;
-    opts.min_community_size = min_size;
-    auto result = louvain(mg.graph(), opts);
-    communities = std::move(result.communities);
-    std::printf("louvain: modularity %.4f\n", result.modularity);
-  } else if (method == "gn") {
-    graph::GirvanNewmanOptions opts;
-    opts.iterations = static_cast<int>(args.get_int("iterations", 1));
-    opts.min_community_size = min_size;
-    // --samples N caps each betweenness pass at N seeded pivot sweeps;
-    // 0 (default) keeps the exact computation.
-    opts.betweenness_samples =
-        static_cast<std::size_t>(args.get_int("samples", 0));
-    opts.betweenness_seed =
-        static_cast<std::uint64_t>(args.get_int("seed", 2019));
-    opts.budget_ms = args.get_int("budget-ms", 0);
-    auto result = girvan_newman(mg.graph(), opts);
-    communities = std::move(result.communities);
+  graph::CommunityOptions opts;
+  opts.method = graph::parse_community_method(args.get("method", "gn"));
+  opts.min_size = static_cast<std::size_t>(args.get_int("min-size", 3));
+  opts.iterations = static_cast<int>(args.get_int("iterations", 1));
+  // --samples N caps each betweenness pass at N seeded pivot sweeps;
+  // 0 (default) keeps the exact computation.
+  opts.samples = static_cast<std::size_t>(args.get_int("samples", 0));
+  opts.seed = static_cast<std::uint64_t>(args.get_int("seed", 2019));
+  opts.budget_ms = args.get_int("budget-ms", 0);
+  const graph::CommunityResult result = graph::communities(mg.graph(), opts);
+  if (result.edges_removed) {
     std::printf("girvan-newman: removed %zu edges, %zu components%s\n",
-                result.edges_removed, result.component_count,
-                result.budget_exceeded ? " (budget exceeded)" : "");
-  } else {
-    throw Error("unknown --method '" + method + "' (gn|louvain)");
+                *result.edges_removed, result.component_count,
+                result.fell_back ? " (budget exceeded)" : "");
   }
-
+  if (result.modularity) {
+    std::printf("louvain: modularity %.4f\n", *result.modularity);
+  }
+  const auto& communities = result.communities;
   std::printf("%zu communities (>= %zu nodes):\n", communities.size(),
-              min_size);
+              opts.min_size);
   for (std::size_t c = 0; c < communities.size(); ++c) {
     std::printf("  community %zu: %zu nodes, e.g.", c, communities[c].size());
     for (std::size_t k = 0; k < communities[c].size() && k < 5; ++k) {
@@ -648,51 +648,21 @@ int cmd_communities(const Args& args) {
 
 int cmd_centrality(const Args& args) {
   meta::Metagraph mg = load_graph(args);
-  const std::string kind = args.get("kind", "eigenvector");
+  const graph::CentralityKind kind =
+      graph::parse_centrality(args.get("kind", "eigenvector"));
   const std::size_t top = static_cast<std::size_t>(args.get_int("top", 15));
 
-  const graph::Digraph* g = &mg.graph();
-  graph::Digraph quotient;
-  std::vector<std::string> names;
-  if (args.has("modules")) {
-    quotient = graph::quotient_graph(mg.graph(), mg.module_classes(),
-                                     mg.modules().size());
-    g = &quotient;
-    names = mg.modules();
-  } else {
-    for (graph::NodeId v = 0; v < mg.node_count(); ++v) {
-      names.push_back(mg.info(v).unique_name);
-    }
-  }
+  graph::CentralityOptions copts;
+  copts.samples = static_cast<std::size_t>(args.get_int("samples", 0));
+  copts.seed = static_cast<std::uint64_t>(args.get_int("seed", 2019));
 
-  std::vector<double> scores;
-  if (kind == "eigenvector") {
-    scores = eigenvector_centrality(*g, graph::Direction::kIn);
-  } else if (kind == "degree") {
-    scores = degree_centrality(*g, graph::Direction::kIn);
-  } else if (kind == "pagerank") {
-    scores = pagerank(*g, graph::Direction::kIn);
-  } else if (kind == "katz") {
-    scores = katz_centrality(*g, graph::Direction::kIn);
-  } else if (kind == "closeness") {
-    scores = closeness_centrality(*g, graph::Direction::kIn);
-  } else if (kind == "nonbacktracking") {
-    scores = nonbacktracking_centrality(*g, graph::Direction::kIn).centrality;
-  } else if (kind == "inout-eigenvector") {
-    const auto cin = eigenvector_centrality(*g, graph::Direction::kIn);
-    const auto cout = eigenvector_centrality(*g, graph::Direction::kOut);
-    scores.resize(cin.size());
-    for (std::size_t i = 0; i < cin.size(); ++i) scores[i] = cin[i] + cout[i];
-  } else {
-    throw Error("unknown --kind '" + kind + "'");
-  }
-
-  Table table(kind + " in-centrality, top " + std::to_string(top));
+  Table table(std::string(graph::centrality_name(kind)) +
+                  " in-centrality, top " + std::to_string(top));
   table.set_header({"rank", "name", "score"});
   int rank = 1;
-  for (graph::NodeId v : graph::top_k(scores, top)) {
-    table.add_row({Table::integer(rank++), names[v],
-                   Table::num(scores[v], 6)});
+  for (const meta::RankedNode& r :
+       meta::rank(mg, kind, copts, args.has("modules"), top)) {
+    table.add_row({Table::integer(rank++), r.name, Table::num(r.score, 6)});
   }
   table.print(std::cout);
   return 0;

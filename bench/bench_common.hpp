@@ -1,18 +1,32 @@
-// Shared helpers for the table/figure regeneration harnesses.
+// Shared helpers for the bench/ harnesses.
 //
-// Every binary in bench/ regenerates one table or figure of the paper and
-// prints (a) our measured values and (b) the paper's reported values for
-// shape comparison. Absolute numbers differ by design: the substrate is a
-// scaled synthetic model, not CESM on Cheyenne (see DESIGN.md §2).
+// Every table/figure binary regenerates one table or figure of the paper
+// and prints (a) our measured values and (b) the paper's reported values
+// for shape comparison. Absolute numbers differ by design: the substrate is
+// a scaled synthetic model, not CESM on Cheyenne (see DESIGN.md §2).
+//
+// The perf binaries (perf_graph, perf_parse, perf_service) share the
+// timing, calibration and rca.bench_graph.v1 trajectory writer below;
+// tools/bench_diff.cmake diffs their output against the committed
+// BENCH_*.json baselines.
 #pragma once
 
+#include <chrono>
 #include <cstdio>
+#include <fstream>
+#include <functional>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "engine/pipeline.hpp"
+#include "graph/betweenness.hpp"
+#include "graph/ugraph.hpp"
 #include "model/scenario.hpp"
+#include "stats/descriptive.hpp"
+#include "support/json.hpp"
+#include "support/rng.hpp"
 #include "support/table.hpp"
 
 namespace rca::bench {
@@ -90,6 +104,116 @@ inline void print_selection(const engine::ExperimentOutcome& outcome) {
   std::printf("\ninternal names:");
   for (const auto& s : outcome.internal_names) std::printf(" %s", s.c_str());
   std::printf("\n");
+}
+
+/// Wall time of one call of `fn`, in milliseconds.
+inline double time_ms(const std::function<void()>& fn) {
+  const auto t0 = std::chrono::steady_clock::now();
+  fn();
+  const auto t1 = std::chrono::steady_clock::now();
+  return std::chrono::duration<double, std::milli>(t1 - t0).count();
+}
+
+/// Fixed serial workload every trajectory is normalized by: the median of
+/// five exact edge-betweenness runs on a deterministic 600-node
+/// preferential-attachment graph. One workload for all BENCH_*.json files
+/// keeps their `normalized` values in the same runner-independent unit.
+inline double calibration_ms() {
+  SplitMix64 rng(7);
+  graph::Digraph g(1);
+  std::vector<graph::NodeId> pool = {0};
+  for (graph::NodeId v = 1; v < 600; ++v) {
+    g.add_nodes(1);
+    for (std::size_t e = 0; e < 2; ++e) {
+      const graph::NodeId t = pool[rng.next() % pool.size()];
+      if (t != v && g.add_edge(v, t)) {
+        pool.push_back(t);
+        pool.push_back(v);
+      }
+    }
+  }
+  const graph::UGraph ug(g);
+  std::vector<double> times;
+  for (int r = 0; r < 5; ++r) {
+    times.push_back(time_ms([&] { (void)graph::edge_betweenness(ug); }));
+  }
+  return stats::median(times);
+}
+
+struct BenchFixture {
+  std::string name;
+  long long nodes = 0;
+  long long edges = 0;
+};
+
+struct BenchKernel {
+  std::string name;
+  double median_ms = 0.0;
+};
+
+/// One rca.bench_graph.v1 trajectory document.
+struct BenchTrajectory {
+  /// Run parameters, written only when set.
+  std::optional<long long> samples;
+  std::optional<long long> repeats;
+  double calibration_ms = 0.0;
+  std::vector<BenchFixture> fixtures;
+  std::vector<BenchKernel> kernels;
+  /// Writes the members of the "gates" object.
+  std::function<void(JsonWriter&)> gates;
+};
+
+/// Writes `doc` to `path`; every kernel's `normalized` value is its median
+/// divided by the calibration time.
+inline void write_trajectory(const std::string& path,
+                             const BenchTrajectory& doc) {
+  JsonWriter w;
+  w.begin_object();
+  w.key("schema");
+  w.string_value("rca.bench_graph.v1");
+  if (doc.samples) {
+    w.key("samples");
+    w.integer(*doc.samples);
+  }
+  if (doc.repeats) {
+    w.key("repeats");
+    w.integer(*doc.repeats);
+  }
+  w.key("calibration_ms");
+  w.number(doc.calibration_ms);
+  w.key("fixtures");
+  w.begin_object();
+  for (const BenchFixture& f : doc.fixtures) {
+    w.key(f.name);
+    w.begin_object();
+    w.key("nodes");
+    w.integer(f.nodes);
+    w.key("edges");
+    w.integer(f.edges);
+    w.end_object();
+  }
+  w.end_object();
+  w.key("kernels");
+  w.begin_object();
+  for (const BenchKernel& k : doc.kernels) {
+    w.key(k.name);
+    w.begin_object();
+    w.key("median_ms");
+    w.number(k.median_ms);
+    w.key("normalized");
+    w.number(doc.calibration_ms > 0.0 ? k.median_ms / doc.calibration_ms
+                                      : 0.0);
+    w.end_object();
+  }
+  w.end_object();
+  w.key("gates");
+  w.begin_object();
+  doc.gates(w);
+  w.end_object();
+  w.end_object();
+  std::ofstream out(path);
+  out << w.str() << "\n";
+  std::printf("wrote %s\n", path.c_str());
 }
 
 }  // namespace rca::bench

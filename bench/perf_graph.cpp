@@ -19,15 +19,12 @@
 // calibration workload (normalized = median_ms / calibration_ms), so the
 // baseline diff tolerates absolute speed differences between runners and
 // only trips on relative regressions of the kernels themselves.
-#include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <functional>
 #include <string>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "graph/betweenness.hpp"
 #include "graph/bfs.hpp"
 #include "graph/centrality.hpp"
@@ -38,7 +35,6 @@
 #include "model/model.hpp"
 #include "stats/descriptive.hpp"
 #include "support/json.hpp"
-#include "support/rng.hpp"
 #include "support/thread_pool.hpp"
 
 namespace rca {
@@ -47,18 +43,6 @@ namespace {
 constexpr double kMinSampledSpeedup = 5.0;
 constexpr double kMinSampledSpearman = 0.9;
 constexpr std::size_t kPoolWorkers = 8;
-
-double time_ms(const std::function<void()>& fn) {
-  const auto t0 = std::chrono::steady_clock::now();
-  fn();
-  const auto t1 = std::chrono::steady_clock::now();
-  return std::chrono::duration<double, std::milli>(t1 - t0).count();
-}
-
-struct Kernel {
-  std::string name;
-  double median_ms = 0.0;
-};
 
 class Harness {
  public:
@@ -73,52 +57,22 @@ class Harness {
     times.reserve(static_cast<std::size_t>(repeats_));
     for (int r = 0; r < repeats_; ++r) {
       if (setup) setup();
-      times.push_back(time_ms(fn));
+      times.push_back(bench::time_ms(fn));
     }
     const double med = stats::median(times);
     std::printf("  %-34s %10.2f ms (median of %d)\n", name.c_str(), med,
                 repeats_);
     std::fflush(stdout);
-    kernels_.push_back(Kernel{name, med});
+    kernels_.push_back(bench::BenchKernel{name, med});
     return med;
   }
 
-  const std::vector<Kernel>& kernels() const { return kernels_; }
+  const std::vector<bench::BenchKernel>& kernels() const { return kernels_; }
 
  private:
   int repeats_;
-  std::vector<Kernel> kernels_;
+  std::vector<bench::BenchKernel> kernels_;
 };
-
-/// Fixed serial workload used to normalize away runner speed: exact
-/// betweenness on a deterministic preferential-attachment graph.
-graph::Digraph make_graph(std::size_t n, std::size_t edges_per_node,
-                          std::uint64_t seed) {
-  SplitMix64 rng(seed);
-  graph::Digraph g(1);
-  std::vector<graph::NodeId> pool = {0};
-  for (graph::NodeId v = 1; v < n; ++v) {
-    g.add_nodes(1);
-    for (std::size_t e = 0; e < edges_per_node; ++e) {
-      const graph::NodeId t = pool[rng.next() % pool.size()];
-      if (t != v && g.add_edge(v, t)) {
-        pool.push_back(t);
-        pool.push_back(v);
-      }
-    }
-  }
-  return g;
-}
-
-double calibration_ms() {
-  const graph::Digraph g = make_graph(600, 2, 7);
-  const graph::UGraph ug(g);
-  std::vector<double> times;
-  for (int r = 0; r < 5; ++r) {
-    times.push_back(time_ms([&] { (void)graph::edge_betweenness(ug); }));
-  }
-  return stats::median(times);
-}
 
 struct Fixture {
   meta::Metagraph mg;
@@ -172,7 +126,7 @@ int main(int argc, char** argv) {
   ThreadPool pool(kPoolWorkers);
 
   std::printf("calibrating...\n");
-  const double calib = calibration_ms();
+  const double calib = bench::calibration_ms();
   std::printf("  calibration workload: %.2f ms\n", calib);
 
   std::printf("building fixtures...\n");
@@ -268,53 +222,25 @@ int main(int argc, char** argv) {
               kMinSampledSpearman, spearman_ok ? "PASS" : "FAIL");
 
   if (!json_path.empty()) {
-    JsonWriter w;
-    w.begin_object();
-    w.key("schema");
-    w.string_value("rca.bench_graph.v1");
-    w.key("samples");
-    w.integer(static_cast<long long>(samples));
-    w.key("repeats");
-    w.integer(repeats);
-    w.key("calibration_ms");
-    w.number(calib);
-    w.key("fixtures");
-    w.begin_object();
+    bench::BenchTrajectory doc;
+    doc.samples = static_cast<long long>(samples);
+    doc.repeats = repeats;
+    doc.calibration_ms = calib;
     for (const auto* f : {&small, &big}) {
-      w.key(f == &small ? "default" : "cesm");
-      w.begin_object();
-      w.key("nodes");
-      w.integer(static_cast<long long>(f->nodes));
-      w.key("edges");
-      w.integer(static_cast<long long>(f->edges));
-      w.end_object();
+      doc.fixtures.push_back({f == &small ? "default" : "cesm",
+                              static_cast<long long>(f->nodes),
+                              static_cast<long long>(f->edges)});
     }
-    w.end_object();
-    w.key("kernels");
-    w.begin_object();
-    for (const Kernel& k : h.kernels()) {
-      w.key(k.name);
-      w.begin_object();
-      w.key("median_ms");
-      w.number(k.median_ms);
-      w.key("normalized");
-      w.number(calib > 0.0 ? k.median_ms / calib : 0.0);
-      w.end_object();
-    }
-    w.end_object();
-    w.key("gates");
-    w.begin_object();
-    w.key("sampled_speedup");
-    w.number(speedup);
-    w.key("sampled_spearman");
-    w.number(rho);
-    w.key("pass");
-    w.boolean(speedup_ok && spearman_ok);
-    w.end_object();
-    w.end_object();
-    std::ofstream out(json_path);
-    out << w.str() << "\n";
-    std::printf("wrote %s\n", json_path.c_str());
+    doc.kernels = h.kernels();
+    doc.gates = [&](JsonWriter& w) {
+      w.key("sampled_speedup");
+      w.number(speedup);
+      w.key("sampled_spearman");
+      w.number(rho);
+      w.key("pass");
+      w.boolean(speedup_ok && spearman_ok);
+    };
+    bench::write_trajectory(json_path, doc);
   }
 
   return (speedup_ok && spearman_ok) ? 0 : 1;

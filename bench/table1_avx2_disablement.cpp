@@ -10,7 +10,6 @@
 #include <algorithm>
 
 #include "bench/bench_common.hpp"
-#include "graph/centrality.hpp"
 #include "support/rng.hpp"
 #include "support/stopwatch.hpp"
 
@@ -26,17 +25,11 @@ int main() {
   engine::Pipeline pipe(config);
   const meta::Metagraph& mg = pipe.metagraph();
 
-  // Module quotient graph (graph minor) and centrality ranking.
-  const auto classes = mg.module_classes();
+  // Module quotient graph (graph minor); modules rank by in- plus
+  // out-eigenvector centrality on it.
   const auto& modules = mg.modules();
-  graph::Digraph quotient =
-      graph::quotient_graph(mg.graph(), classes, modules.size());
-  const auto cin = eigenvector_centrality(quotient, graph::Direction::kIn);
-  const auto cout = eigenvector_centrality(quotient, graph::Direction::kOut);
-  std::vector<double> centrality(modules.size());
-  for (std::size_t i = 0; i < modules.size(); ++i) {
-    centrality[i] = cin[i] + cout[i];
-  }
+  const graph::Digraph quotient =
+      graph::quotient_graph(mg.graph(), mg.module_classes(), modules.size());
   std::printf("module quotient graph: %zu nodes / %zu edges (paper: 561 / 4245)\n",
               quotient.node_count(), quotient.edge_count());
 
@@ -72,8 +65,9 @@ int main() {
   }
 
   std::vector<std::string> central;
-  for (graph::NodeId m : graph::top_k(centrality, k)) {
-    central.push_back(modules[m]);
+  for (const meta::RankedNode& m : meta::rank(
+           mg, graph::CentralityKind::kInOutEigenvector, {}, true, k)) {
+    central.push_back(m.name);
   }
   std::printf("most central modules:");
   for (const auto& m : central) std::printf(" %s", m.c_str());

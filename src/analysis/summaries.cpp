@@ -8,6 +8,7 @@
 #include "fault/fault.hpp"
 #include "interp/intrinsics.hpp"
 #include "lang/printer.hpp"
+#include "support/hash.hpp"
 
 namespace rca::analysis {
 
@@ -25,27 +26,6 @@ namespace {
 bool is_builtin(const std::string& name) {
   return name == "outfld" || name == "shr_rand_uniform";
 }
-
-// Length-prefixed FNV-1a 64, a local twin of meta::SnapshotKey — analysis
-// sits below meta in the layering, so it cannot reuse it.
-class SummarySig {
- public:
-  void add(const std::string& s) {
-    add_u64(s.size());
-    for (const char c : s) step(static_cast<unsigned char>(c));
-  }
-  void add_u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) step(static_cast<unsigned char>(v >> (i * 8)));
-  }
-  std::uint64_t digest() const { return h_; }
-
- private:
-  void step(unsigned char b) {
-    h_ ^= b;
-    h_ *= 1099511628211ull;
-  }
-  std::uint64_t h_ = 14695981039346656037ull;
-};
 
 std::uint64_t pack_flags(const ProcSummary& p) {
   std::uint64_t f = 0;
@@ -607,7 +587,7 @@ ProgramSummaries compute_summaries(
   for (std::size_t i = 0; i < n; ++i) {
     const std::string& mod = cg.nodes[i].module->name;
     auto [it, fresh] = out.module_sigs.try_emplace(mod, 0);
-    SummarySig sig;
+    ContentHash sig;
     if (fresh) sig.add("rca-summary-sig-v1");
     sig.add_u64(it->second);
     const ProcSummary& p = out.procs[i];
@@ -626,7 +606,7 @@ ProgramSummaries compute_summaries(
   }
   // Modules with no subprograms still need a stable signature.
   for (const Module* m : modules) {
-    SummarySig sig;
+    ContentHash sig;
     sig.add("rca-summary-sig-v1");
     out.module_sigs.try_emplace(m->name, sig.digest());
   }

@@ -7,6 +7,7 @@
 #include "campaign/journal.hpp"
 #include "fault/fault.hpp"
 #include "graph/centrality.hpp"
+#include "graph/methods.hpp"
 #include "model/corpus.hpp"
 #include "obs/obs.hpp"
 #include "slice/slicer.hpp"
@@ -722,16 +723,8 @@ CampaignParams parse_campaign_request(
   r.small_enough = static_cast<std::size_t>(body.get_int("small_enough", 10));
   r.rank_differences_on_stall = body.get_bool("rank_on_stall", true);
   r.gn_budget_ms = body.get_int("gn_budget_ms", 10000);
-  const std::string method = body.get_string("method", "gn");
-  if (method == "gn") {
-    r.community_method = engine::CommunityMethod::kGirvanNewman;
-  } else if (method == "louvain") {
-    r.community_method = engine::CommunityMethod::kLouvain;
-  } else {
-    throw HandlerError{400, "bad_request",
-                       "unknown community method \"" + method +
-                           "\" (gn | louvain)"};
-  }
+  r.community_method =
+      graph::parse_community_method(body.get_string("method", "gn"));
 
   *session_out = std::move(session);
   return p;

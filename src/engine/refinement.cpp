@@ -6,9 +6,6 @@
 
 #include "graph/bfs.hpp"
 #include "graph/centrality.hpp"
-#include "graph/girvan_newman.hpp"
-#include "graph/louvain.hpp"
-#include "graph/nonbacktracking.hpp"
 #include "obs/obs.hpp"
 #include "support/error.hpp"
 
@@ -113,46 +110,6 @@ std::vector<Difference> RuntimeSampler::detect_with_magnitudes(
 // RefinementEngine.
 // ---------------------------------------------------------------------------
 
-namespace {
-
-std::vector<double> compute_centrality(const graph::Digraph& g,
-                                       CentralityKind kind) {
-  switch (kind) {
-    case CentralityKind::kEigenvector:
-      return eigenvector_centrality(g, graph::Direction::kIn);
-    case CentralityKind::kDegree:
-      return degree_centrality(g, graph::Direction::kIn);
-    case CentralityKind::kPageRank:
-      return pagerank(g, graph::Direction::kIn);
-    case CentralityKind::kKatz:
-      return katz_centrality(g, graph::Direction::kIn);
-    case CentralityKind::kNonBacktracking:
-      return nonbacktracking_centrality(g, graph::Direction::kIn).centrality;
-    case CentralityKind::kCloseness:
-      return closeness_centrality(g, graph::Direction::kIn);
-  }
-  throw Error("unknown centrality kind");
-}
-
-std::vector<std::vector<NodeId>> detect_communities(
-    const graph::Digraph& g, const RefinementOptions& opts) {
-  if (opts.community_method == CommunityMethod::kLouvain) {
-    graph::LouvainOptions lv;
-    lv.min_community_size = opts.min_community_size;
-    return louvain(g, lv).communities;
-  }
-  graph::GirvanNewmanOptions gn;
-  gn.iterations = opts.gn_iterations;
-  gn.min_community_size = opts.min_community_size;
-  gn.budget_ms = opts.gn_budget_ms;
-  gn.betweenness_samples = opts.betweenness_samples;
-  gn.betweenness_seed = opts.betweenness_seed;
-  gn.pool = opts.pool;
-  return graph::communities_with_budget(g, gn).communities;
-}
-
-}  // namespace
-
 RefinementEngine::RefinementEngine(const meta::Metagraph& mg, Sampler& sampler,
                                    const RefinementOptions& opts)
     : mg_(mg), sampler_(sampler), opts_(opts) {}
@@ -189,9 +146,15 @@ RefinementResult RefinementEngine::run(
 
     // Step 5: community detection on the weakly connected (undirected)
     // view — Girvan-Newman by default, Louvain optionally.
-    struct {
-      std::vector<std::vector<NodeId>> communities;
-    } communities{detect_communities(sub, opts_)};
+    graph::CommunityOptions copts;
+    copts.method = opts_.community_method;
+    copts.iterations = opts_.gn_iterations;
+    copts.min_size = opts_.min_community_size;
+    copts.budget_ms = opts_.gn_budget_ms;
+    copts.samples = opts_.betweenness_samples;
+    copts.seed = opts_.betweenness_seed;
+    copts.pool = opts_.pool;
+    const graph::CommunityResult communities = graph::communities(sub, copts);
     if (communities.communities.empty()) {
       // Paper's issue 2: increasingly disconnected subgraphs eventually
       // yield no communities; the remaining nodes go to manual analysis.
@@ -216,7 +179,7 @@ RefinementResult RefinementEngine::run(
       graph::Digraph comm_graph =
           induced_subgraph(sub, members_local, nullptr);
       const std::vector<double> centrality =
-          compute_centrality(comm_graph, opts_.centrality);
+          graph::centrality(comm_graph, opts_.centrality);
       // Rank everything, then take the top m sampleable (non-excluded) sites.
       const std::vector<NodeId> ranked =
           graph::top_k(centrality, centrality.size());

@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "graph/digraph.hpp"
+#include "graph/methods.hpp"
 #include "meta/metagraph.hpp"
 #include "model/model.hpp"
 #include "support/thread_pool.hpp"
@@ -112,20 +113,11 @@ class RuntimeSampler : public Sampler {
   double rms_threshold_;
 };
 
-/// Which centrality ranks sampling sites (paper: eigenvector; the rest feed
-/// bench/ablation_centrality).
-enum class CentralityKind {
-  kEigenvector,
-  kDegree,
-  kPageRank,
-  kKatz,
-  kNonBacktracking,
-  kCloseness,
-};
-
-/// Which community detector partitions the subgraph (paper: Girvan-Newman;
-/// Louvain is the near-linear alternative for large slices).
-enum class CommunityMethod { kGirvanNewman, kLouvain };
+/// Which centrality ranks sampling sites (paper: eigenvector) and which
+/// community detector partitions the subgraph (paper: Girvan-Newman); see
+/// graph/methods.hpp.
+using CentralityKind = graph::CentralityKind;
+using CommunityMethod = graph::CommunityMethod;
 
 struct IterationReport;
 

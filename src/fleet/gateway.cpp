@@ -6,6 +6,7 @@
 
 #include "obs/obs.hpp"
 #include "support/json.hpp"
+#include "support/hash.hpp"
 #include "support/strings.hpp"
 
 namespace rca::fleet {
@@ -63,17 +64,8 @@ bool is_refine_path(const std::string& path) {
 long long Gateway::retry_delay_ms(int attempt, long long base_ms,
                                   long long cap_ms, std::uint64_t seed,
                                   std::uint64_t key_hash) {
-  if (base_ms < 1) base_ms = 1;
-  if (cap_ms < base_ms) cap_ms = base_ms;
-  long long base = base_ms;
-  for (int i = 0; i < attempt && base < cap_ms; ++i) base *= 2;
-  base = std::min(base, cap_ms);
-  const std::uint64_t h =
-      fnv1a64(std::to_string(seed) + ":" + std::to_string(key_hash) + ":" +
-              std::to_string(attempt));
-  const double frac = 0.5 + 0.5 * static_cast<double>(h % 1024) / 1023.0;
-  return std::max(static_cast<long long>(static_cast<double>(base) * frac),
-                  1ll);
+  return Supervisor::restart_backoff_ms(static_cast<std::uint64_t>(attempt),
+                                        base_ms, cap_ms, seed, key_hash);
 }
 
 Gateway::Gateway(Supervisor* supervisor, GatewayOptions opts)
@@ -108,7 +100,7 @@ Gateway::RouteDecision Gateway::route(const service::Request& req) const {
       d.pinned = true;
       d.campaign_routed = true;
       d.campaign_shard = shard;
-      d.key_hash = fnv1a64(id);
+      d.key_hash = fnv1a64(id, kFleetHashSeed);
       d.forward_body = replace_token(req.body, id, rest);
       return d;
     }
@@ -121,7 +113,7 @@ Gateway::RouteDecision Gateway::route(const service::Request& req) const {
     const std::string scenario = body.get_string("scenario");
     if (!session.empty()) {
       key = "session:" + session;
-      d.key_hash = fnv1a64(key);
+      d.key_hash = fnv1a64(key, kFleetHashSeed);
       std::size_t learned = 0;
       bool have_learned = false;
       {
@@ -150,7 +142,7 @@ Gateway::RouteDecision Gateway::route(const service::Request& req) const {
     }
   }
   if (key.empty()) key = "body:" + req.body + ":" + req.path;
-  d.key_hash = fnv1a64(key);
+  d.key_hash = fnv1a64(key, kFleetHashSeed);
   d.shards = ring_.preference(key);
   return d;
 }

@@ -62,7 +62,8 @@ class Gateway {
   /// The HttpServer::Handler. Thread-safe.
   service::Response handle(const service::Request& req);
 
-  /// Pure retry schedule (unit-tested like Supervisor::restart_backoff_ms).
+  /// Pure retry schedule: Supervisor::restart_backoff_ms with the request
+  /// key hash in place of the shard.
   static long long retry_delay_ms(int attempt, long long base_ms,
                                   long long cap_ms, std::uint64_t seed,
                                   std::uint64_t key_hash);

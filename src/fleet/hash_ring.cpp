@@ -4,17 +4,9 @@
 #include <string>
 
 #include "support/error.hpp"
+#include "support/hash.hpp"
 
 namespace rca::fleet {
-
-std::uint64_t fnv1a64(std::string_view s) {
-  std::uint64_t h = 1469598103934665603ull;  // FNV offset basis
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ull;  // FNV prime
-  }
-  return h;
-}
 
 namespace {
 
@@ -41,39 +33,36 @@ HashRing::HashRing(std::size_t shards, std::size_t vnodes) : shards_(shards) {
     for (std::size_t v = 0; v < vnodes; ++v) {
       const std::string point =
           "shard-" + std::to_string(s) + "#" + std::to_string(v);
-      ring_.emplace_back(mix64(fnv1a64(point)), s);
+      ring_.emplace_back(mix64(fnv1a64(point, kFleetHashSeed)), s);
     }
   }
   std::sort(ring_.begin(), ring_.end());
 }
 
-std::size_t HashRing::owner(std::string_view key) const {
-  const std::uint64_t h = mix64(fnv1a64(key));
+std::size_t HashRing::position(std::string_view key) const {
+  const std::uint64_t h = mix64(fnv1a64(key, kFleetHashSeed));
   auto it = std::lower_bound(
       ring_.begin(), ring_.end(), h,
       [](const std::pair<std::uint64_t, std::size_t>& p, std::uint64_t v) {
         return p.first < v;
       });
-  if (it == ring_.end()) it = ring_.begin();  // wrap
-  return it->second;
+  return it == ring_.end() ? 0 : static_cast<std::size_t>(it - ring_.begin());
+}
+
+std::size_t HashRing::owner(std::string_view key) const {
+  return ring_[position(key)].second;
 }
 
 std::vector<std::size_t> HashRing::preference(std::string_view key) const {
-  const std::uint64_t h = mix64(fnv1a64(key));
-  auto it = std::lower_bound(
-      ring_.begin(), ring_.end(), h,
-      [](const std::pair<std::uint64_t, std::size_t>& p, std::uint64_t v) {
-        return p.first < v;
-      });
   std::vector<std::size_t> order;
   order.reserve(shards_);
   std::vector<bool> seen(shards_, false);
+  std::size_t i = position(key);
   for (std::size_t walked = 0; walked < ring_.size() && order.size() < shards_;
-       ++walked, ++it) {
-    if (it == ring_.end()) it = ring_.begin();
-    if (!seen[it->second]) {
-      seen[it->second] = true;
-      order.push_back(it->second);
+       ++walked, i = (i + 1) % ring_.size()) {
+    if (!seen[ring_[i].second]) {
+      seen[ring_[i].second] = true;
+      order.push_back(ring_[i].second);
     }
   }
   return order;

@@ -21,8 +21,11 @@
 
 namespace rca::fleet {
 
-/// FNV-1a 64-bit — stable across processes and platforms by construction.
-std::uint64_t fnv1a64(std::string_view s);
+/// FNV-1a seed for every fleet hash (ring points, key lookups, backoff
+/// jitter). It is not the standard offset basis: it is that value with its
+/// last digit dropped. Ring placement and the jitter schedules derive from
+/// it, so replacing it would move keys to other shards; it stays.
+inline constexpr std::uint64_t kFleetHashSeed = 1469598103934665603ULL;
 
 class HashRing {
  public:
@@ -40,6 +43,10 @@ class HashRing {
   std::vector<std::size_t> preference(std::string_view key) const;
 
  private:
+  /// Index in ring_ of the first point at or after the key's hash
+  /// (wrapping past the end).
+  std::size_t position(std::string_view key) const;
+
   std::size_t shards_;
   /// (point, shard), sorted by point.
   std::vector<std::pair<std::uint64_t, std::size_t>> ring_;

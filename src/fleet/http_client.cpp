@@ -6,10 +6,9 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
-#include <cstring>
 
+#include "support/http.hpp"
 #include "support/strings.hpp"
 
 namespace rca::fleet {
@@ -17,49 +16,6 @@ namespace rca::fleet {
 namespace {
 
 constexpr std::size_t kMaxHeadBytes = 64 * 1024;
-
-bool send_all(int fd, const std::string& data) {
-  std::size_t off = 0;
-  while (off < data.size()) {
-    ssize_t n;
-    do {
-      n = ::send(fd, data.data() + off, data.size() - off, MSG_NOSIGNAL);
-    } while (n < 0 && errno == EINTR);
-    if (n <= 0) return false;
-    off += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-ssize_t recv_retry(int fd, char* chunk, std::size_t cap) {
-  ssize_t n;
-  do {
-    n = ::recv(fd, chunk, cap, 0);
-  } while (n < 0 && errno == EINTR);
-  return n;
-}
-
-/// Lower-cased, trimmed value of the first `name` header; empty if absent.
-std::string header_value(const std::string& headers, const char* name) {
-  for (const std::string& line : split(headers, '\n')) {
-    const std::size_t colon = line.find(':');
-    if (colon == std::string::npos) continue;
-    if (to_lower(trim(line.substr(0, colon))) != name) continue;
-    return to_lower(trim(line.substr(colon + 1)));
-  }
-  return "";
-}
-
-long long parse_digits(const std::string& s) {
-  if (s.empty()) return -1;
-  long long v = 0;
-  for (char c : s) {
-    if (c < '0' || c > '9') return -1;
-    if (v > (1ll << 50)) return -1;
-    v = v * 10 + (c - '0');
-  }
-  return v;
-}
 
 }  // namespace
 
@@ -73,11 +29,7 @@ HttpClient::~HttpClient() { close_all(); }
 int HttpClient::connect_fresh() const {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) return -1;
-  timeval tv{};
-  tv.tv_sec = opts_.io_timeout_ms / 1000;
-  tv.tv_usec = (opts_.io_timeout_ms % 1000) * 1000;
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
+  http::set_io_timeout(fd, opts_.io_timeout_ms);
   const int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 
@@ -133,57 +85,39 @@ void HttpClient::close_all() {
 std::optional<ClientResponse> HttpClient::roundtrip(int fd,
                                                     const std::string& wire,
                                                     int timeout_ms) const {
-  if (timeout_ms > 0) {
-    timeval tv{};
-    tv.tv_sec = timeout_ms / 1000;
-    tv.tv_usec = (timeout_ms % 1000) * 1000;
-    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-    ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
-  }
-  if (!send_all(fd, wire)) return std::nullopt;
+  if (timeout_ms > 0) http::set_io_timeout(fd, timeout_ms);
+  if (!http::send_all(fd, wire)) return std::nullopt;
 
+  // Same framing rules as the server: the head read is capped per recv at
+  // kMaxHeadBytes, and an overflowing Content-Length is rejected.
   std::string buf;
-  char chunk[8192];
-  while (buf.find("\r\n\r\n") == std::string::npos) {
-    if (buf.size() > kMaxHeadBytes) return std::nullopt;
-    const ssize_t n = recv_retry(fd, chunk, sizeof(chunk));
-    if (n <= 0) return std::nullopt;
-    buf.append(chunk, static_cast<std::size_t>(n));
+  if (!http::read_until(fd, buf, "\r\n\r\n", kMaxHeadBytes)) {
+    return std::nullopt;
   }
-  const std::size_t head_end = buf.find("\r\n\r\n");
-  const std::string head = buf.substr(0, head_end);
-  const std::size_t line_end = head.find("\r\n");
-  const std::string status_line =
-      line_end == std::string::npos ? head : head.substr(0, line_end);
-  const std::vector<std::string> parts = split_ws(status_line);
+  const http::Head head = http::split_head(buf);
+  const std::vector<std::string> parts = split_ws(head.start_line);
   if (parts.size() < 2 || !starts_with(parts[0], "HTTP/")) {
     return std::nullopt;
   }
-  const long long status = parse_digits(parts[1]);
+  const long long status = http::parse_digits(parts[1]);
   if (status < 100 || status > 599) return std::nullopt;
 
-  const std::string headers =
-      line_end == std::string::npos ? "" : head.substr(line_end + 2);
-  const long long content_length =
-      parse_digits(header_value(headers, "content-length"));
+  const long long content_length = http::content_length(head.headers);
   if (content_length < 0) return std::nullopt;  // transport requires it
 
   ClientResponse resp;
   resp.status = static_cast<int>(status);
-  resp.keep_alive = header_value(headers, "connection") == "keep-alive";
+  resp.keep_alive =
+      http::header_value(head.headers, "connection") == "keep-alive";
   const long long retry_after =
-      parse_digits(header_value(headers, "retry-after"));
+      http::parse_digits(http::header_value(head.headers, "retry-after"));
   if (retry_after > 0) resp.retry_after_ms = retry_after * 1000;
 
-  resp.body = buf.substr(head_end + 4);
-  const std::size_t want = static_cast<std::size_t>(content_length);
-  if (resp.body.size() > want) return std::nullopt;  // pipelined garbage
-  while (resp.body.size() < want) {
-    const std::size_t cap = std::min(sizeof(chunk), want - resp.body.size());
-    const ssize_t n = recv_retry(fd, chunk, cap);
-    if (n <= 0) return std::nullopt;
-    resp.body.append(chunk, static_cast<std::size_t>(n));
-  }
+  const std::size_t end =
+      head.body_start + static_cast<std::size_t>(content_length);
+  if (buf.size() > end) return std::nullopt;  // pipelined garbage
+  if (!http::read_to_size(fd, buf, end)) return std::nullopt;
+  resp.body = buf.substr(head.body_start);
   return resp;
 }
 

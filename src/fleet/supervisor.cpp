@@ -20,6 +20,7 @@
 #include "fleet/hash_ring.hpp"
 #include "obs/obs.hpp"
 #include "support/error.hpp"
+#include "support/hash.hpp"
 #include "support/strings.hpp"
 
 namespace rca::fleet {
@@ -65,7 +66,8 @@ long long Supervisor::restart_backoff_ms(std::uint64_t attempt,
   // decorrelate across shards, yet every schedule is reproducible.
   const std::uint64_t h =
       fnv1a64(std::to_string(seed) + ":" + std::to_string(shard) + ":" +
-              std::to_string(attempt));
+              std::to_string(attempt),
+              kFleetHashSeed);
   const double frac =
       0.5 + 0.5 * static_cast<double>(h % 1024) / 1023.0;
   return std::max(static_cast<long long>(static_cast<double>(base) * frac),

@@ -125,17 +125,6 @@ std::size_t girvan_newman_step(UGraph& g, const GnStepOptions& opts,
   return removed;
 }
 
-std::size_t girvan_newman_step(
-    UGraph& g, ThreadPool* pool,
-    const std::chrono::steady_clock::time_point* deadline,
-    bool* budget_exceeded) {
-  GnStepOptions opts;
-  opts.pool = pool;
-  opts.deadline = deadline;
-  opts.budget_exceeded = budget_exceeded;
-  return girvan_newman_step(g, opts, nullptr);
-}
-
 GirvanNewmanResult girvan_newman(const Digraph& g,
                                  const GirvanNewmanOptions& opts) {
   RCA_CHECK_MSG(opts.iterations >= 0, "negative G-N iteration count");
@@ -183,28 +172,6 @@ GirvanNewmanResult girvan_newman(const Digraph& g,
   span.attr("edges_removed", result.edges_removed);
   span.attr("communities", result.communities.size());
   return result;
-}
-
-CommunityDetectionResult communities_with_budget(
-    const Digraph& g, const GirvanNewmanOptions& gn_opts,
-    const LouvainOptions& louvain_opts) {
-  CommunityDetectionResult out;
-  GirvanNewmanResult gn = girvan_newman(g, gn_opts);
-  out.edges_removed = gn.edges_removed;
-  if (!gn.budget_exceeded) {
-    out.communities = std::move(gn.communities);
-    return out;
-  }
-  obs::count("community.fallback");
-  LouvainOptions lopts = louvain_opts;
-  if (lopts.min_community_size < gn_opts.min_community_size) {
-    lopts.min_community_size = gn_opts.min_community_size;
-  }
-  LouvainResult lv = louvain(g, lopts);
-  out.communities = std::move(lv.communities);
-  out.fell_back = true;
-  out.modularity = lv.modularity;
-  return out;
 }
 
 }  // namespace rca::graph

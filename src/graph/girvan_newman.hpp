@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "graph/digraph.hpp"
-#include "graph/louvain.hpp"
 #include "graph/ugraph.hpp"
 #include "support/thread_pool.hpp"
 
@@ -26,7 +25,7 @@ struct GirvanNewmanOptions {
   std::size_t min_community_size = 3;
   /// Wall-clock budget for the removal loop; 0 = unlimited. When exceeded,
   /// the run stops early and the result carries budget_exceeded — callers
-  /// that need an answer fall back to Louvain (communities_with_budget).
+  /// that need an answer fall back to Louvain (graph::communities).
   long long budget_ms = 0;
   /// Pivot-sample size for each betweenness (re)computation; 0 = exact. At
   /// paper scale exact betweenness per removal is the whole cost of G-N, so
@@ -84,31 +83,7 @@ struct GnStepState {
 /// count. Exposed separately for tests and ablations. `state` (optional)
 /// carries betweenness across steps; pass the same object to every step on
 /// one graph and the full step-entry recompute happens only once.
-std::size_t girvan_newman_step(UGraph& g, const GnStepOptions& opts,
+std::size_t girvan_newman_step(UGraph& g, const GnStepOptions& opts = {},
                                GnStepState* state = nullptr);
-
-/// Back-compat shim for the pre-options call sites.
-std::size_t girvan_newman_step(
-    UGraph& g, ThreadPool* pool = nullptr,
-    const std::chrono::steady_clock::time_point* deadline = nullptr,
-    bool* budget_exceeded = nullptr);
-
-/// Graceful degradation for interactive callers: Girvan–Newman under a
-/// wall-clock budget, falling back to Louvain (counter: community.fallback)
-/// when the budget expires — an approximate partition now beats an exact one
-/// after the client gave up.
-struct CommunityDetectionResult {
-  std::vector<std::vector<NodeId>> communities;
-  /// True when GN blew its budget and `communities` came from Louvain.
-  bool fell_back = false;
-  /// Edges the GN attempt removed (observability, even when fell_back).
-  std::size_t edges_removed = 0;
-  /// Louvain modularity; only meaningful when fell_back.
-  double modularity = 0.0;
-};
-
-CommunityDetectionResult communities_with_budget(
-    const Digraph& g, const GirvanNewmanOptions& gn_opts,
-    const LouvainOptions& louvain_opts = {});
 
 }  // namespace rca::graph

@@ -1,5 +1,6 @@
 #include "meta/metagraph.hpp"
 
+#include "graph/centrality.hpp"
 #include "support/error.hpp"
 
 namespace rca::meta {
@@ -85,6 +86,23 @@ void Metagraph::add_io_mapping(const std::string& label, graph::NodeId node) {
     if (v == node) return;
   }
   vec.push_back(node);
+}
+
+std::vector<RankedNode> rank(const Metagraph& mg, graph::CentralityKind kind,
+                             const graph::CentralityOptions& opts,
+                             bool modules, std::size_t top) {
+  const std::vector<double> scores =
+      modules ? graph::centrality(
+                    graph::quotient_graph(mg.graph(), mg.module_classes(),
+                                          mg.modules().size()),
+                    kind, opts)
+              : graph::centrality(mg.graph(), kind, opts);
+  std::vector<RankedNode> out;
+  for (graph::NodeId v : graph::top_k(scores, top)) {
+    out.push_back({modules ? mg.modules()[v] : mg.info(v).unique_name,
+                   scores[v]});
+  }
+  return out;
 }
 
 }  // namespace rca::meta

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "graph/digraph.hpp"
+#include "graph/methods.hpp"
 #include "interp/interpreter.hpp"
 #include "lang/ast.hpp"
 
@@ -101,5 +102,17 @@ class Metagraph {
   std::map<std::string, std::vector<graph::NodeId>> io_map_;
   std::unordered_map<std::string, int> unique_name_uses_;
 };
+
+struct RankedNode {
+  std::string name;
+  double score = 0.0;
+};
+
+/// The `top` best nodes of `mg` by `kind`, best first with ties to the lower
+/// id; with `modules`, the best modules of its module quotient graph. This
+/// is the ranking `rca-tool centrality` and /v1/rank report.
+std::vector<RankedNode> rank(const Metagraph& mg, graph::CentralityKind kind,
+                             const graph::CentralityOptions& opts,
+                             bool modules, std::size_t top);
 
 }  // namespace rca::meta

@@ -22,14 +22,6 @@ namespace fs = std::filesystem;
 
 namespace {
 
-std::string le64(std::uint64_t value) {
-  std::string out(8, '\0');
-  for (int i = 0; i < 8; ++i) {
-    out[i] = static_cast<char>((value >> (8 * i)) & 0xFF);
-  }
-  return out;
-}
-
 /// write(2) the whole buffer, retrying on EINTR and partial writes.
 bool write_all_fd(int fd, const char* data, std::size_t size) {
   std::size_t off = 0;
@@ -45,24 +37,6 @@ bool write_all_fd(int fd, const char* data, std::size_t size) {
 }
 
 }  // namespace
-
-SnapshotKey& SnapshotKey::add(std::string_view bytes) {
-  hash_ = detail::fnv1a64(le64(bytes.size()), hash_);
-  hash_ = detail::fnv1a64(bytes, hash_);
-  return *this;
-}
-
-SnapshotKey& SnapshotKey::add_u64(std::uint64_t value) {
-  hash_ = detail::fnv1a64(le64(value), hash_);
-  return *this;
-}
-
-std::string SnapshotKey::hex() const {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(hash_));
-  return std::string(buf, 16);
-}
 
 SnapshotCache::SnapshotCache(std::string dir) : dir_(std::move(dir)) {}
 

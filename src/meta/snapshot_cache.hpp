@@ -26,23 +26,12 @@
 #include <string_view>
 
 #include "meta/metagraph.hpp"
+#include "support/hash.hpp"
 
 namespace rca::meta {
 
-/// Incremental FNV-1a 64 content hash. Every add() is length-prefixed, so
-/// ("ab","c") and ("a","bc") produce different keys.
-class SnapshotKey {
- public:
-  SnapshotKey& add(std::string_view bytes);
-  SnapshotKey& add_u64(std::uint64_t value);
-
-  std::uint64_t digest() const { return hash_; }
-  /// 16 lowercase hex digits — the cache file stem.
-  std::string hex() const;
-
- private:
-  std::uint64_t hash_ = 14695981039346656037ULL;
-};
+/// Cache key: a length-prefixed FNV-1a 64 content hash of the build inputs.
+using SnapshotKey = ContentHash;
 
 class SnapshotCache {
  public:

@@ -11,13 +11,13 @@
 #include <cerrno>
 #include <csignal>
 #include <cstring>
-#include <limits>
 #include <string>
 #include <utility>
 
 #include "fault/fault.hpp"
 #include "obs/obs.hpp"
 #include "support/error.hpp"
+#include "support/http.hpp"
 #include "support/strings.hpp"
 
 namespace rca::service {
@@ -41,58 +41,30 @@ const char* status_text(int status) {
   }
 }
 
-/// Reads from `fd` until `terminator` is seen or `limit` bytes accumulate.
-/// Returns false on EOF/error/overflow before the terminator. Each recv is
-/// capped to the bytes still within budget, so the buffer never grows past
-/// limit + 1 (the +1 byte is what proves the head is oversized).
-/// recv with EINTR retry (a signal mid-read must not kill the connection)
-/// and the http.recv fault site: a delay action stalls inside the check,
-/// an errno action reads as a hard socket error.
-ssize_t recv_retry(int fd, char* chunk, std::size_t cap) {
+/// The transport's recv: http::recv_retry behind the http.recv fault site
+/// (checked once per chunk) — a delay action stalls inside the check, an
+/// errno action reads as a hard socket error.
+ssize_t fault_checked_recv(int fd, char* chunk, std::size_t cap) {
   if (fault::Hit h = RCA_FAULT_CHECK("http.recv")) {
     if (h.action == fault::Action::kErrno) {
       errno = EIO;
       return -1;
     }
   }
-  ssize_t n;
-  do {
-    n = ::recv(fd, chunk, cap, 0);
-  } while (n < 0 && errno == EINTR);
-  return n;
-}
-
-bool read_until(int fd, std::string& buf, const char* terminator,
-                std::size_t limit) {
-  char chunk[4096];
-  for (;;) {
-    if (buf.find(terminator) != std::string::npos) return true;
-    if (buf.size() > limit) return false;
-    const std::size_t cap = std::min(sizeof(chunk), limit + 1 - buf.size());
-    const ssize_t n = recv_retry(fd, chunk, cap);
-    if (n <= 0) return false;
-    buf.append(chunk, static_cast<std::size_t>(n));
-  }
+  return http::recv_retry(fd, chunk, cap);
 }
 
 bool write_all(int fd, const std::string& data) {
-  std::size_t bytes = data.size();
   if (fault::Hit h = RCA_FAULT_CHECK("http.send")) {
     if (h.action == fault::Action::kErrno) return false;
     // Short-write fault: transmit half the response, then fail — models a
     // peer that vanished mid-reply. The daemon must just drop the socket.
-    if (h.action == fault::Action::kShortWrite) bytes /= 2;
+    if (h.action == fault::Action::kShortWrite) {
+      http::send_all(fd, std::string_view(data).substr(0, data.size() / 2));
+      return false;
+    }
   }
-  std::size_t off = 0;
-  while (off < bytes) {
-    ssize_t n;
-    do {
-      n = ::send(fd, data.data() + off, bytes - off, MSG_NOSIGNAL);
-    } while (n < 0 && errno == EINTR);
-    if (n <= 0) return false;
-    off += static_cast<std::size_t>(n);
-  }
-  return bytes == data.size();
+  return http::send_all(fd, data);
 }
 
 /// False when the response could not be fully transmitted (the caller must
@@ -111,55 +83,14 @@ bool send_response(int fd, const Response& resp, bool keep_alive = false) {
   return write_all(fd, out);
 }
 
-/// Value of the first header named `name` (case-insensitive), trimmed and
-/// lower-cased; empty when absent.
-std::string header_value(const std::string& headers, const char* name) {
-  for (const std::string& line : split(headers, '\n')) {
-    const std::size_t colon = line.find(':');
-    if (colon == std::string::npos) continue;
-    if (to_lower(trim(line.substr(0, colon))) != name) continue;
-    return to_lower(trim(line.substr(colon + 1)));
-  }
-  return "";
-}
-
 /// HTTP/1.1 defaults to persistent connections, HTTP/1.0 to close; an
 /// explicit Connection header overrides either way.
 bool client_wants_close(const std::string& headers,
                         const std::string& version) {
-  const std::string conn = header_value(headers, "connection");
+  const std::string conn = http::header_value(headers, "connection");
   if (conn == "close") return true;
   if (conn == "keep-alive") return false;
   return version == "HTTP/1.0";
-}
-
-/// Parses "Header-Name: value" lines for Content-Length (case-insensitive
-/// name, as HTTP requires). Returns -1 when absent, -2 on a malformed or
-/// overflowing value (the caller answers 413 for -2 — a length too large to
-/// represent is by definition over any body budget).
-long long parse_content_length(const std::string& headers) {
-  const std::string value = header_value(headers, "content-length");
-  if (value.empty()) {
-    // Distinguish "header absent" from "header present but empty".
-    for (const std::string& line : split(headers, '\n')) {
-      const std::size_t colon = line.find(':');
-      if (colon != std::string::npos &&
-          to_lower(trim(line.substr(0, colon))) == "content-length") {
-        return -2;
-      }
-    }
-    return -1;
-  }
-  long long result = 0;
-  for (char c : value) {
-    if (c < '0' || c > '9') return -2;
-    const long long digit = c - '0';
-    if (result > (std::numeric_limits<long long>::max() - digit) / 10) {
-      return -2;
-    }
-    result = result * 10 + digit;
-  }
-  return result;
 }
 
 /// Pipe write end the installed signal handler pokes; handler-safe.
@@ -267,11 +198,7 @@ int HttpServer::serve_forever() {
       // Other transient accept failures (ECONNABORTED, EMFILE, ...) drop
       // this connection attempt but keep the accept loop alive.
       if (fd < 0) continue;
-      timeval tv{};
-      tv.tv_sec = opts_.io_timeout_ms / 1000;
-      tv.tv_usec = (opts_.io_timeout_ms % 1000) * 1000;
-      ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-      ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
+      http::set_io_timeout(fd, opts_.io_timeout_ms);
       obs::count("service.http.connections");
       {
         std::lock_guard<std::mutex> lock(mu_);
@@ -358,7 +285,8 @@ void HttpServer::handle_connection(int fd) {
                                      : opts_.idle_timeout_ms;
       if (!wait_readable(fd, budget)) return;
     }
-    if (!read_until(fd, buf, "\r\n\r\n", opts_.max_header_bytes)) {
+    if (!http::read_until(fd, buf, "\r\n\r\n", opts_.max_header_bytes,
+                          fault_checked_recv)) {
       // A clean EOF between requests is a normal keep-alive close from the
       // peer; a partial head is a protocol error worth answering.
       if (!buf.empty()) {
@@ -367,14 +295,10 @@ void HttpServer::handle_connection(int fd) {
       }
       return;
     }
-    const std::size_t head_end = buf.find("\r\n\r\n");
-    const std::string head = buf.substr(0, head_end);
+    const http::Head head = http::split_head(buf);
 
     // Request line: METHOD SP PATH SP HTTP/x.y
-    const std::size_t line_end = head.find("\r\n");
-    const std::string request_line =
-        line_end == std::string::npos ? head : head.substr(0, line_end);
-    const std::vector<std::string> parts = split_ws(request_line);
+    const std::vector<std::string> parts = split_ws(head.start_line);
     if (parts.size() != 3 || !starts_with(parts[2], "HTTP/")) {
       send_response(fd, error_response(400, "bad_request",
                                        "malformed request line"));
@@ -387,43 +311,36 @@ void HttpServer::handle_connection(int fd) {
     req.path =
         query == std::string::npos ? parts[1] : parts[1].substr(0, query);
 
-    const std::string headers =
-        line_end == std::string::npos ? "" : head.substr(line_end + 2);
-    const long long content_length = parse_content_length(headers);
+    // -2 (malformed or overflowing) is a 413 too: a length too large to
+    // represent is by definition over any body budget.
+    const long long content_length = http::content_length(head.headers);
     if (content_length == -2 ||
         content_length > static_cast<long long>(opts_.max_body_bytes)) {
       send_response(fd, error_response(413, "body_too_large",
                                        "invalid or oversized Content-Length"));
       return;
     }
-    const std::size_t body_start = head_end + 4;
     const std::size_t want =
         content_length > 0 ? static_cast<std::size_t>(content_length) : 0;
-    while (buf.size() < body_start + want) {
-      char chunk[4096];
-      // Cap each recv at the bytes actually remaining so we never consume
-      // data beyond this request's declared body.
-      const std::size_t cap =
-          std::min(sizeof(chunk), body_start + want - buf.size());
-      const ssize_t n = recv_retry(fd, chunk, cap);
-      if (n <= 0) {
-        send_response(fd, error_response(400, "bad_request",
-                                         "truncated request body"));
-        return;
-      }
-      buf.append(chunk, static_cast<std::size_t>(n));
+    // Reads stop at this request's declared body: anything a pipelining
+    // client sent beyond it stays unread for the next request.
+    if (!http::read_to_size(fd, buf, head.body_start + want,
+                            fault_checked_recv)) {
+      send_response(fd, error_response(400, "bad_request",
+                                       "truncated request body"));
+      return;
     }
-    req.body = buf.substr(body_start, want);
+    req.body = buf.substr(head.body_start, want);
 
     ++served;
     const bool keep = opts_.keep_alive &&
-                      !client_wants_close(headers, parts[2]) &&
+                      !client_wants_close(head.headers, parts[2]) &&
                       served < opts_.max_requests_per_connection &&
                       !draining_.load(std::memory_order_relaxed);
     if (served > 1) obs::count("service.http.keepalive_reuses");
     if (!send_response(fd, handler_(req), keep)) return;
     if (!keep) return;
-    buf.erase(0, body_start + want);
+    buf.erase(0, head.body_start + want);
   }
 }
 

@@ -8,11 +8,8 @@
 
 #include "analysis/diagnostics.hpp"
 #include "fault/fault.hpp"
-#include "graph/betweenness.hpp"
 #include "graph/centrality.hpp"
-#include "graph/girvan_newman.hpp"
-#include "graph/louvain.hpp"
-#include "graph/nonbacktracking.hpp"
+#include "graph/methods.hpp"
 #include "model/corpus.hpp"
 #include "obs/obs.hpp"
 #include "service/build_info.hpp"
@@ -27,6 +24,13 @@ namespace {
 
 [[noreturn]] void fail(int status, std::string code, std::string message) {
   throw HandlerError{status, std::move(code), std::move(message)};
+}
+
+/// Body "samples" (betweenness pivot count, 0 = exact); negative is a 400.
+std::size_t sample_count(const JsonValue& body) {
+  const long long samples = body.get_int("samples", 0);
+  if (samples < 0) fail(400, "bad_request", "samples must be >= 0");
+  return static_cast<std::size_t>(samples);
 }
 
 /// Opens every session-carrying response: the session key, plus — when the
@@ -47,10 +51,6 @@ void write_session_header(JsonWriter& w, const Session& session) {
     w.end_array();
   }
 }
-
-}  // namespace
-
-namespace {
 
 Response make_error(int status, const std::string& code,
                     const std::string& message, bool retriable,
@@ -414,60 +414,45 @@ Response Router::handle_slice(const JsonValue& body) {
 Response Router::handle_communities(const JsonValue& body) {
   std::shared_ptr<const Session> session = resolve_session(body);
   const meta::Metagraph& mg = session->metagraph();
-  const std::string method = body.get_string("method", "gn");
-  const std::size_t min_size =
-      static_cast<std::size_t>(body.get_int("min_size", 3));
+  graph::CommunityOptions opts;
+  opts.method = graph::parse_community_method(body.get_string("method", "gn"));
+  opts.min_size = static_cast<std::size_t>(body.get_int("min_size", 3));
+  opts.iterations = static_cast<int>(body.get_int("iterations", 1));
+  // Wall-clock budget: GN's per-removal betweenness recompute is the
+  // service's slowest operation. On expiry the request still answers —
+  // with Louvain's partition — instead of timing out.
+  opts.budget_ms = body.get_int("budget_ms", opts_.gn_budget_ms);
+  // Pivot sampling trades exact betweenness for a seeded estimate so big
+  // sessions can answer inside the budget instead of falling back.
+  opts.samples = sample_count(body);
+  opts.seed = static_cast<std::uint64_t>(body.get_int("seed", 2019));
+  const graph::CommunityResult result = graph::communities(mg.graph(), opts);
 
-  std::vector<std::vector<graph::NodeId>> communities;
   JsonWriter w;
   w.begin_object();
   write_session_header(w, *session);
-  if (method == "louvain") {
-    graph::LouvainOptions opts;
-    opts.min_community_size = min_size;
-    auto result = louvain(mg.graph(), opts);
-    communities = std::move(result.communities);
-    w.key("method");
-    w.string_value("louvain");
+  w.key("method");
+  w.string_value(graph::community_method_name(result.method));
+  if (result.edges_removed && opts.samples > 0) {
+    w.key("betweenness_samples");
+    w.integer(static_cast<long long>(opts.samples));
+  }
+  if (result.fell_back) {
+    w.key("fallback_from");
+    w.string_value(
+        graph::community_method_name(graph::CommunityMethod::kGirvanNewman));
+  }
+  if (result.modularity) {
     w.key("modularity");
-    w.number(result.modularity);
-  } else if (method == "gn") {
-    graph::GirvanNewmanOptions opts;
-    opts.iterations = static_cast<int>(body.get_int("iterations", 1));
-    opts.min_community_size = min_size;
-    // Wall-clock budget: GN's per-removal betweenness recompute is the
-    // service's slowest operation. On expiry the request still answers —
-    // with Louvain's partition — instead of timing out.
-    opts.budget_ms = body.get_int("budget_ms", opts_.gn_budget_ms);
-    // Pivot sampling trades exact betweenness for a seeded estimate so big
-    // sessions can answer inside the budget instead of falling back.
-    const long long samples = body.get_int("samples", 0);
-    if (samples < 0) fail(400, "bad_request", "samples must be >= 0");
-    opts.betweenness_samples = static_cast<std::size_t>(samples);
-    opts.betweenness_seed =
-        static_cast<std::uint64_t>(body.get_int("seed", 2019));
-    auto result = graph::communities_with_budget(mg.graph(), opts);
-    communities = std::move(result.communities);
-    w.key("method");
-    w.string_value(result.fell_back ? "louvain" : "gn");
-    if (opts.betweenness_samples > 0) {
-      w.key("betweenness_samples");
-      w.integer(static_cast<long long>(opts.betweenness_samples));
-    }
-    if (result.fell_back) {
-      w.key("fallback_from");
-      w.string_value("gn");
-      w.key("modularity");
-      w.number(result.modularity);
-    }
+    w.number(*result.modularity);
+  }
+  if (result.edges_removed) {
     w.key("edges_removed");
-    w.integer(static_cast<long long>(result.edges_removed));
-  } else {
-    fail(400, "bad_request", "unknown method '" + method + "' (gn|louvain)");
+    w.integer(static_cast<long long>(*result.edges_removed));
   }
   w.key("communities");
   w.begin_array();
-  for (const auto& community : communities) {
+  for (const auto& community : result.communities) {
     w.begin_object();
     w.key("size");
     w.integer(static_cast<long long>(community.size()));
@@ -486,71 +471,34 @@ Response Router::handle_communities(const JsonValue& body) {
 
 Response Router::handle_rank(const JsonValue& body) {
   std::shared_ptr<const Session> session = resolve_session(body);
-  const meta::Metagraph& mg = session->metagraph();
-  const std::string kind = body.get_string("kind", "eigenvector");
+  const graph::CentralityKind kind =
+      graph::parse_centrality(body.get_string("kind", "eigenvector"));
   const std::size_t top = static_cast<std::size_t>(body.get_int("top", 15));
 
-  const graph::Digraph* g = &mg.graph();
-  graph::Digraph quotient;
-  std::vector<std::string> names;
-  if (body.get_bool("modules", false)) {
-    quotient = graph::quotient_graph(mg.graph(), mg.module_classes(),
-                                     mg.modules().size());
-    g = &quotient;
-    names = mg.modules();
-  } else {
-    for (graph::NodeId v = 0; v < mg.node_count(); ++v) {
-      names.push_back(mg.info(v).unique_name);
-    }
-  }
-
-  std::vector<double> scores;
-  if (kind == "eigenvector") {
-    scores = eigenvector_centrality(*g, graph::Direction::kIn);
-  } else if (kind == "degree") {
-    scores = degree_centrality(*g, graph::Direction::kIn);
-  } else if (kind == "pagerank") {
-    scores = pagerank(*g, graph::Direction::kIn);
-  } else if (kind == "katz") {
-    scores = katz_centrality(*g, graph::Direction::kIn);
-  } else if (kind == "closeness") {
-    scores = closeness_centrality(*g, graph::Direction::kIn);
-  } else if (kind == "nonbacktracking") {
-    scores = nonbacktracking_centrality(*g, graph::Direction::kIn).centrality;
-  } else if (kind == "betweenness") {
-    // O(V·E) exact — "samples" caps the Brandes sweeps (seeded pivots) so
-    // the endpoint stays interactive on full sessions.
-    graph::BetweennessOptions opts;
-    const long long samples = body.get_int("samples", 0);
-    if (samples < 0) fail(400, "bad_request", "samples must be >= 0");
-    opts.samples = static_cast<std::size_t>(samples);
-    opts.seed = static_cast<std::uint64_t>(body.get_int("seed", 2019));
-    scores = node_betweenness(*g, opts);
-  } else if (kind == "inout-eigenvector") {
-    const auto cin = eigenvector_centrality(*g, graph::Direction::kIn);
-    const auto cout = eigenvector_centrality(*g, graph::Direction::kOut);
-    scores.resize(cin.size());
-    for (std::size_t i = 0; i < cin.size(); ++i) scores[i] = cin[i] + cout[i];
-  } else {
-    fail(400, "bad_request", "unknown centrality kind '" + kind + "'");
-  }
+  // Betweenness is O(V·E) exact — "samples" caps the Brandes sweeps
+  // (seeded pivots) so the endpoint stays interactive on full sessions.
+  graph::CentralityOptions copts;
+  copts.samples = sample_count(body);
+  copts.seed = static_cast<std::uint64_t>(body.get_int("seed", 2019));
+  const std::vector<meta::RankedNode> ranking = meta::rank(
+      session->metagraph(), kind, copts, body.get_bool("modules", false), top);
 
   JsonWriter w;
   w.begin_object();
   write_session_header(w, *session);
   w.key("kind");
-  w.string_value(kind);
+  w.string_value(graph::centrality_name(kind));
   w.key("ranking");
   w.begin_array();
   long long rank = 1;
-  for (graph::NodeId v : graph::top_k(scores, top)) {
+  for (const meta::RankedNode& r : ranking) {
     w.begin_object();
     w.key("rank");
     w.integer(rank++);
     w.key("name");
-    w.string_value(names[v]);
+    w.string_value(r.name);
     w.key("score");
-    w.number(scores[v]);
+    w.number(r.score);
     w.end_object();
   }
   w.end_array();

@@ -20,11 +20,13 @@
 //                           "outputs": [..], "cam_only": b, "drop_small": n,
 //                           "limit": n}
 //   POST /v1/communities   {"session" | .., "method": "gn"|"louvain",
-//                           "min_size": n, "iterations": n, "budget_ms": n}
+//                           "min_size": n, "iterations": n, "budget_ms": n,
+//                           "samples": n, "seed": n}
 //                          gn over budget falls back to louvain and says so
 //                          ("fallback_from": "gn")
 //   POST /v1/rank          {"session" | .., "kind": KIND, "top": n,
-//                           "modules": b}
+//                           "modules": b, "samples": n, "seed": n}
+//                          (methods and kinds: graph/methods.hpp)
 //   POST /v1/lint          {"session" | ..} -> rca.diagnostics.v1 embedded
 //                          (interprocedural rules; "interprocedural": true)
 //   POST /v1/session/patch {"session": KEY,

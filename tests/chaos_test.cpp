@@ -22,6 +22,7 @@
 
 #include "fault/fault.hpp"
 #include "graph/girvan_newman.hpp"
+#include "graph/methods.hpp"
 #include "lang/parser.hpp"
 #include "meta/builder.hpp"
 #include "meta/snapshot_cache.hpp"
@@ -435,17 +436,18 @@ TEST_F(ChaosTest, GnBudgetFallsBackToLouvain) {
   EXPECT_TRUE(raw.budget_exceeded);
   EXPECT_EQ(raw.edges_removed, 0u);  // expired before removing anything
 
-  graph::CommunityDetectionResult budgeted =
-      graph::communities_with_budget(g, gn);
+  graph::CommunityOptions budget;
+  budget.min_size = gn.min_community_size;
+  budget.budget_ms = gn.budget_ms;
+  const graph::CommunityResult budgeted = graph::communities(g, budget);
   fault::FaultRegistry::global().disarm();
   EXPECT_TRUE(budgeted.fell_back);
   EXPECT_EQ(counter("community.fallback"), fallback0 + 1);
   EXPECT_FALSE(budgeted.communities.empty());  // Louvain still answered
 
   // Without a budget the same options complete as plain Girvan-Newman.
-  gn.budget_ms = 0;
-  graph::CommunityDetectionResult unbudgeted =
-      graph::communities_with_budget(g, gn);
+  budget.budget_ms = 0;
+  const graph::CommunityResult unbudgeted = graph::communities(g, budget);
   EXPECT_FALSE(unbudgeted.fell_back);
   EXPECT_EQ(unbudgeted.communities.size(), 2u);
 }

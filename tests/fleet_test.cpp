@@ -15,7 +15,10 @@
 // and a SIGTERM shutdown leaves no orphan workers and no port files.
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
 #include <signal.h>
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -104,6 +107,20 @@ TEST(HashRing, AddingAShardMovesOnlyAMinorityOfKeys) {
   EXPECT_GT(moved, 0);
 }
 
+TEST(HashRing, OwnersArePinned) {
+  // Ring placement decides which worker holds a session; it must not move
+  // between releases.
+  const HashRing ring(4, 64);
+  const std::pair<const char*, std::size_t> pinned[] = {
+      {"session:0", 3},          {"session:1", 1}, {"src:/corpus", 0},
+      {"scenario:prng:2019", 2}, {"key-0", 3},     {"key-1", 0},
+      {"key-7", 1},              {"body:{}:/v1/slice", 3},
+  };
+  for (const auto& [key, shard] : pinned) {
+    EXPECT_EQ(ring.owner(key), shard) << key;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // circuit breaker (injected time: no sleeps)
 // ---------------------------------------------------------------------------
@@ -183,6 +200,18 @@ TEST(Backoff, RestartScheduleIsDeterministicBoundedAndCapped) {
                  Supervisor::restart_backoff_ms(attempt, 50, 2000, 2019, 1);
   }
   EXPECT_TRUE(any_differ);
+}
+
+TEST(Backoff, SchedulesArePinned) {
+  const long long restart[] = {45, 62, 168, 221, 453, 1246};
+  const long long retry[] = {17, 44, 76, 194, 334, 273};
+  for (int attempt = 0; attempt < 6; ++attempt) {
+    EXPECT_EQ(Supervisor::restart_backoff_ms(attempt, 50, 2000, 2019, 1),
+              restart[attempt])
+        << "attempt " << attempt;
+    EXPECT_EQ(Gateway::retry_delay_ms(attempt, 25, 500, 7, 42), retry[attempt])
+        << "attempt " << attempt;
+  }
 }
 
 TEST(Backoff, GatewayRetryScheduleIsBounded) {
@@ -417,6 +446,74 @@ TEST(KeepAlive, OneConnectionServesManyRequestsThroughTheClientPool) {
 
   server.request_shutdown();
   serving.join();
+}
+
+/// Loopback peer that answers each accepted connection with the next canned
+/// response, verbatim, then closes it.
+class CannedServer {
+ public:
+  explicit CannedServer(std::vector<std::string> responses)
+      : responses_(std::move(responses)) {
+    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    EXPECT_EQ(::bind(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+              0);
+    EXPECT_EQ(::listen(fd_, 8), 0);
+    socklen_t len = sizeof(addr);
+    ::getsockname(fd_, reinterpret_cast<sockaddr*>(&addr), &len);
+    port_ = ntohs(addr.sin_port);
+    thread_ = std::thread([this] {
+      for (const std::string& canned : responses_) {
+        const int conn = ::accept(fd_, nullptr, nullptr);
+        if (conn < 0) return;
+        std::string request;
+        char chunk[4096];
+        ssize_t n;
+        while (request.find("\r\n\r\n") == std::string::npos &&
+               (n = ::recv(conn, chunk, sizeof(chunk), 0)) > 0) {
+          request.append(chunk, static_cast<std::size_t>(n));
+        }
+        // The client may hang up mid-response; that must not kill us.
+        (void)::send(conn, canned.data(), canned.size(), MSG_NOSIGNAL);
+        ::close(conn);
+      }
+    });
+  }
+  ~CannedServer() {
+    thread_.join();
+    ::close(fd_);
+  }
+  std::uint16_t port() const { return port_; }
+
+ private:
+  std::vector<std::string> responses_;
+  int fd_ = -1;
+  std::uint16_t port_ = 0;
+  std::thread thread_;
+};
+
+TEST(HttpClientFraming, AdversarialResponsesAreTransportFailures) {
+  // The client frames responses by the server's rules: a head past 64 KiB
+  // and a Content-Length too large for long long are both rejected. The
+  // last, well-formed response proves the client is still usable.
+  const std::vector<std::string> responses = {
+      "HTTP/1.1 200 OK\r\nX-Pad: " + std::string(80 * 1024, 'a') +
+          "\r\nContent-Length: 0\r\n\r\n",
+      "HTTP/1.1 200 OK\r\nContent-Length: 99999999999999999999\r\n\r\n{}",
+      "HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok",
+  };
+  CannedServer server(responses);
+  HttpClient client(server.port(), HttpClientOptions{});
+  EXPECT_FALSE(client.request("GET", "/", "").has_value())
+      << "oversized head accepted";
+  EXPECT_FALSE(client.request("GET", "/", "").has_value())
+      << "overflowing Content-Length accepted";
+  const auto ok = client.request("GET", "/", "");
+  ASSERT_TRUE(ok.has_value());
+  EXPECT_EQ(ok->status, 200);
+  EXPECT_EQ(ok->body, "ok");
 }
 
 TEST(Health, EnrichedDocumentIsFixedKeyAndStableUnderTestMode) {

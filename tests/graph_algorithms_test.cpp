@@ -1,15 +1,20 @@
-// Tests for the extended graph algorithms: Louvain/modularity, strongly
-// connected components, closeness centrality.
+// Tests for the extended graph algorithms (Louvain/modularity, strongly
+// connected components, closeness centrality) and the method table.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
+#include "graph/betweenness.hpp"
+#include "graph/bridges.hpp"
 #include "graph/centrality.hpp"
 #include "graph/girvan_newman.hpp"
 #include "graph/louvain.hpp"
-#include "graph/bridges.hpp"
+#include "graph/methods.hpp"
+#include "graph/nonbacktracking.hpp"
 #include "graph/scc.hpp"
+#include "support/error.hpp"
 #include "support/rng.hpp"
+#include "support/strings.hpp"
 
 namespace rca::graph {
 namespace {
@@ -298,6 +303,92 @@ TEST(Bridges, RespectsRemovedEdges) {
   UGraph ug(g);
   ug.remove_edge(0);
   EXPECT_EQ(find_bridges(ug).size(), 3u);
+}
+
+// Every row of the method table must compute exactly what a direct call of
+// its kernel computes, so callers that moved onto the table (CLI, router,
+// engine, campaigns, ablations) keep their bytes.
+TEST(MethodTable, EveryCentralityKindMatchesItsKernelBitwise) {
+  SplitMix64 rng(11);
+  Digraph g(40);
+  for (int e = 0; e < 90; ++e) {
+    g.add_edge(static_cast<NodeId>(rng.next() % 40),
+               static_cast<NodeId>(rng.next() % 40));
+  }
+  BetweennessOptions sampled;
+  sampled.samples = 8;
+  sampled.seed = 5;
+  const std::vector<double> eig_in = eigenvector_centrality(g, Direction::kIn);
+  const std::vector<double> eig_out =
+      eigenvector_centrality(g, Direction::kOut);
+  std::vector<double> inout(eig_in.size());
+  for (std::size_t i = 0; i < inout.size(); ++i) {
+    inout[i] = eig_in[i] + eig_out[i];
+  }
+  const std::pair<const char*, std::vector<double>> expected[] = {
+      {"eigenvector", eig_in},
+      {"degree", degree_centrality(g, Direction::kIn)},
+      {"pagerank", pagerank(g, Direction::kIn)},
+      {"katz", katz_centrality(g, Direction::kIn)},
+      {"nonbacktracking",
+       nonbacktracking_centrality(g, Direction::kIn).centrality},
+      {"closeness", closeness_centrality(g, Direction::kIn)},
+      {"betweenness", node_betweenness(g, sampled)},
+      {"inout-eigenvector", inout},
+  };
+  const std::vector<std::string> names = split(centrality_names(), '|');
+  ASSERT_EQ(names.size(), std::size(expected));
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    EXPECT_EQ(names[i], expected[i].first);
+    const CentralityKind kind = parse_centrality(names[i]);
+    EXPECT_STREQ(centrality_name(kind), expected[i].first);
+    CentralityOptions opts;
+    opts.samples = sampled.samples;
+    opts.seed = sampled.seed;
+    EXPECT_EQ(centrality(g, kind, opts), expected[i].second) << names[i];
+  }
+}
+
+TEST(MethodTable, CommunityMethodsMatchTheirKernels) {
+  const Digraph g = two_cliques_with_bridge();
+  GirvanNewmanOptions gn;
+  gn.min_community_size = 2;
+  CommunityOptions opts;
+  opts.min_size = 2;
+  opts.method = parse_community_method("gn");
+  const CommunityResult via_gn = communities(g, opts);
+  const GirvanNewmanResult direct_gn = girvan_newman(g, gn);
+  EXPECT_EQ(via_gn.communities, direct_gn.communities);
+  EXPECT_EQ(via_gn.edges_removed, direct_gn.edges_removed);
+  EXPECT_FALSE(via_gn.modularity.has_value());
+
+  LouvainOptions lv;
+  lv.min_community_size = 2;
+  opts.method = parse_community_method("louvain");
+  const CommunityResult via_louvain = communities(g, opts);
+  const LouvainResult direct_louvain = louvain(g, lv);
+  EXPECT_EQ(via_louvain.communities, direct_louvain.communities);
+  EXPECT_EQ(via_louvain.modularity, direct_louvain.modularity);
+  EXPECT_FALSE(via_louvain.edges_removed.has_value());
+  EXPECT_STREQ(community_method_name(via_louvain.method), "louvain");
+}
+
+TEST(MethodTable, UnknownNamesListEveryValidName) {
+  try {
+    parse_centrality("eigen");
+    FAIL() << "unknown kind accepted";
+  } catch (const Error& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "unknown centrality kind 'eigen' (eigenvector|degree|pagerank|"
+              "katz|nonbacktracking|closeness|betweenness|inout-eigenvector)");
+  }
+  try {
+    parse_community_method("GN");
+    FAIL() << "unknown method accepted";
+  } catch (const Error& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "unknown community method 'GN' (gn|louvain)");
+  }
 }
 
 }  // namespace

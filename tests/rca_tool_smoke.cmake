@@ -38,6 +38,7 @@ run(info --graph mg.tsv)
 run(slice --graph mg.tsv --output flds --cam-only --show 3)
 run(communities --graph mg.tsv --method louvain --min-size 5)
 run(centrality --graph mg.tsv --modules --kind inout-eigenvector --top 5)
+run(centrality --graph mg.tsv --kind betweenness --samples 8 --top 5)
 
 # Full analysis with the observability sink on: the metrics document must be
 # an rca.metrics.v1 JSON with one span per pipeline stage and the graph-size

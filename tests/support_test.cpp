@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "support/error.hpp"
+#include "support/hash.hpp"
 #include "support/rng.hpp"
 #include "support/strings.hpp"
 #include "support/table.hpp"
@@ -134,6 +135,21 @@ TEST(SplitMix, ProducesWellDistributedSeeds) {
   std::set<std::uint64_t> seen;
   for (int i = 0; i < 1000; ++i) seen.insert(sm.next());
   EXPECT_EQ(seen.size(), 1000u);
+}
+
+TEST(Hash, Fnv1a64MatchesStandardVectors) {
+  EXPECT_EQ(fnv1a64(""), 0xcbf29ce484222325ULL);
+  EXPECT_EQ(fnv1a64("a"), 0xaf63dc4c8601ec8cULL);
+  EXPECT_EQ(fnv1a64("foobar"), 0x85944171f73967e8ULL);
+}
+
+TEST(Hash, ContentHashDigestIsPinned) {
+  // Snapshot cache file stems are this digest: a change here orphans every
+  // cached snapshot on disk.
+  ContentHash h;
+  h.add("rca-metagraph").add_u64(2019).add("").add("src/a.F90");
+  EXPECT_EQ(h.digest(), 0xa1be65338f20f0f6ULL);
+  EXPECT_EQ(h.hex(), "a1be65338f20f0f6");
 }
 
 TEST(ThreadPool, ParallelForCoversAllIndices) {
