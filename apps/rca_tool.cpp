@@ -493,7 +493,7 @@ int cmd_lint(const Args& args) {
                 args.get("summaries-out").c_str());
   }
   if (args.has("fpsense-out") && result.summaries != nullptr) {
-    const analysis::ProgramSymbols symbols(modules);
+    const lang::ProgramSymbols symbols(modules);
     write_file(args.get("fpsense-out"),
                analysis::fpsense_report_json(modules, symbols,
                                              *result.summaries));

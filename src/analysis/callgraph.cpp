@@ -10,6 +10,8 @@ namespace rca::analysis {
 using lang::Expr;
 using lang::ExprKind;
 using lang::Module;
+using lang::ProcRef;
+using lang::ProgramSymbols;
 using lang::Stmt;
 using lang::StmtKind;
 using lang::Subprogram;

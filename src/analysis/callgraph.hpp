@@ -1,4 +1,4 @@
-// Program-wide call graph over ProgramSymbols resolution.
+// Program-wide call graph over lang::ProgramSymbols resolution.
 //
 // One node per subprogram, in module order then subprogram order (both
 // deterministic). Call-statement and function-reference edges resolve
@@ -17,8 +17,8 @@
 #include <unordered_map>
 #include <vector>
 
-#include "analysis/passes.hpp"
 #include "lang/ast.hpp"
+#include "lang/symbols.hpp"
 
 namespace rca::analysis {
 
@@ -56,6 +56,6 @@ struct CallGraph {
 /// Builds the call graph and its SCC condensation. `symbols` must have been
 /// constructed over the same module list.
 CallGraph build_call_graph(const std::vector<const lang::Module*>& modules,
-                           const ProgramSymbols& symbols);
+                           const lang::ProgramSymbols& symbols);
 
 }  // namespace rca::analysis

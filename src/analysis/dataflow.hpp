@@ -33,6 +33,7 @@
 
 #include "analysis/cfg.hpp"
 #include "lang/ast.hpp"
+#include "lang/symbols.hpp"
 
 namespace rca::analysis {
 
@@ -98,8 +99,7 @@ using CallEffectFn = std::function<std::optional<CallEffect>(
 /// All members are optional; absent ones make the walker conservative (treat
 /// as a call whose reference arguments may be read and written).
 struct DataflowContext {
-  const std::unordered_set<std::string>* module_vars = nullptr;  // data names
-  const std::unordered_set<std::string>* procedures = nullptr;   // callables
+  const lang::VarBindings* module_vars = nullptr;  // data names
   CallEffectFn call_effects;  // interprocedural mod/ref summaries
 };
 

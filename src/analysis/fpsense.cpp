@@ -14,6 +14,8 @@ using lang::Expr;
 using lang::ExprKind;
 using lang::Module;
 using lang::Op;
+using lang::ProcRef;
+using lang::ProgramSymbols;
 using lang::Stmt;
 using lang::StmtKind;
 using lang::Subprogram;
@@ -230,6 +232,21 @@ std::vector<FpSite> find_fp_sites(const Subprogram& sp,
   return out;
 }
 
+FpCallOracle summary_fp_oracle(const ProgramSymbols::ModuleSyms* syms,
+                               const ProgramSummaries* summaries) {
+  return [syms, summaries](const std::string& name, std::size_t nargs) {
+    if (syms == nullptr || summaries == nullptr) return false;
+    auto pit = syms->procs.find(name);
+    if (pit == syms->procs.end()) return false;
+    for (const ProcRef& c : pit->second) {
+      if (!c.sp->is_function() || c.sp->params.size() != nargs) continue;
+      const ProcSummary* ps = summaries->find(c.sp);
+      if (ps != nullptr && ps->returns_real) return true;
+    }
+    return false;
+  };
+}
+
 std::string fpsense_report_json(const std::vector<const Module*>& modules,
                                 const ProgramSymbols& symbols,
                                 const ProgramSummaries& summaries) {
@@ -237,17 +254,7 @@ std::string fpsense_report_json(const std::vector<const Module*>& modules,
   bool first = true;
   for (const Module* m : modules) {
     const ProgramSymbols::ModuleSyms* syms = symbols.module(m->name);
-    FpCallOracle oracle = [&](const std::string& name, std::size_t nargs) {
-      if (syms == nullptr) return false;
-      auto pit = syms->procs.find(name);
-      if (pit == syms->procs.end()) return false;
-      for (const ProcRef& c : pit->second) {
-        if (!c.sp->is_function() || c.sp->params.size() != nargs) continue;
-        const ProcSummary* ps = summaries.find(c.sp);
-        if (ps != nullptr && ps->returns_real) return true;
-      }
-      return false;
-    };
+    const FpCallOracle oracle = summary_fp_oracle(syms, &summaries);
     for (const Subprogram& sp : m->subprograms) {
       for (const FpSite& site : find_fp_sites(sp, syms, oracle)) {
         if (!first) out += ',';

@@ -22,8 +22,8 @@
 #include <string>
 #include <vector>
 
-#include "analysis/passes.hpp"
 #include "lang/ast.hpp"
+#include "lang/symbols.hpp"
 
 namespace rca::analysis {
 
@@ -47,13 +47,20 @@ using FpCallOracle =
 
 /// FP-sensitive sites of one subprogram, in statement walk order.
 std::vector<FpSite> find_fp_sites(const lang::Subprogram& sp,
-                                  const ProgramSymbols::ModuleSyms* syms,
+                                  const lang::ProgramSymbols::ModuleSyms* syms,
                                   const FpCallOracle& returns_real);
+
+/// The summary-backed oracle: true when some candidate `name` resolves to in
+/// `syms` is a function of matching arity whose summary says it returns a
+/// real. Either pointer null makes every call non-FP; both must outlive the
+/// returned oracle.
+FpCallOracle summary_fp_oracle(const lang::ProgramSymbols::ModuleSyms* syms,
+                               const ProgramSummaries* summaries);
 
 /// Deterministic JSON report, schema `rca.fpsense.v1`: every site across
 /// `modules` plus the transitively FP-sensitive procedures from `summaries`.
 std::string fpsense_report_json(const std::vector<const lang::Module*>& modules,
-                                const ProgramSymbols& symbols,
+                                const lang::ProgramSymbols& symbols,
                                 const ProgramSummaries& summaries);
 
 }  // namespace rca::analysis

@@ -17,99 +17,13 @@ using lang::ExprKind;
 using lang::Intent;
 using lang::Module;
 using lang::Op;
+using lang::ProcRef;
+using lang::ProgramSymbols;
 using lang::Stmt;
 using lang::StmtKind;
 using lang::Subprogram;
 using lang::TypeKind;
 using lang::VarDecl;
-
-// ---------------------------------------------------------------------------
-// ProgramSymbols (mirrors meta/builder.cpp pass 1, without coverage filters).
-// ---------------------------------------------------------------------------
-
-ProgramSymbols::ProgramSymbols(const std::vector<const Module*>& modules) {
-  for (const Module* m : modules) {
-    auto& syms = modules_[m->name];
-    syms.ast = m;
-    for (const auto& sp : m->subprograms) {
-      syms.procs[sp.name].push_back(ProcRef{m, &sp});
-    }
-    for (const auto& d : m->decls) {
-      syms.vars[d.name] = {m, d.name};
-    }
-  }
-  for (const Module* m : modules) {
-    auto& syms = modules_[m->name];
-    for (const auto& iface : m->interfaces) {
-      for (const auto& proc : iface.procedures) {
-        auto it = syms.procs.find(proc);
-        if (it == syms.procs.end()) continue;  // tolerated: dangling interface
-        auto& vec = syms.procs[iface.name];
-        vec.insert(vec.end(), it->second.begin(), it->second.end());
-      }
-    }
-  }
-  // Imports resolve in two rounds against immutable snapshots, so the result
-  // is independent of module input order: round one imports each source
-  // module's own exports, round two re-imports from the post-round-one
-  // tables, which adds exactly one level of re-exported imports (`use b`
-  // where b itself does `use c`) — the same depth the builder sees.
-  auto apply_imports =
-      [this](const std::vector<const Module*>& mods,
-             const std::unordered_map<std::string, ModuleSyms>& sources) {
-        for (const Module* m : mods) {
-          auto& syms = modules_[m->name];
-          auto process_use = [&syms, &sources](const lang::UseStmt& use) {
-            auto sit = sources.find(use.module);
-            if (sit == sources.end()) return;  // unresolved module: skip
-            const auto& src = sit->second;
-            auto import_one = [&](const std::string& local,
-                                  const std::string& remote) {
-              auto pit = src.procs.find(remote);
-              if (pit != src.procs.end()) {
-                auto& vec = syms.procs[local];
-                for (const ProcRef& r : pit->second) {
-                  const bool present =
-                      std::any_of(vec.begin(), vec.end(),
-                                  [&](const ProcRef& x) { return x.sp == r.sp; });
-                  if (!present) vec.push_back(r);
-                }
-              }
-              auto vit = src.vars.find(remote);
-              if (vit != src.vars.end()) {
-                syms.vars.emplace(local, vit->second);
-              }
-            };
-            if (use.has_only) {
-              for (const auto& r : use.renames) import_one(r.local, r.remote);
-            } else {
-              for (const auto& [name, _] : src.procs) import_one(name, name);
-              for (const auto& [name, _] : src.vars) import_one(name, name);
-            }
-          };
-          for (const auto& use : m->uses) process_use(use);
-          for (const auto& sp : m->subprograms) {
-            for (const auto& use : sp.uses) process_use(use);
-          }
-        }
-      };
-  {
-    const std::unordered_map<std::string, ModuleSyms> own_exports = modules_;
-    apply_imports(modules, own_exports);
-    const std::unordered_map<std::string, ModuleSyms> with_direct = modules_;
-    apply_imports(modules, with_direct);
-  }
-  for (auto& [_, syms] : modules_) {
-    for (const auto& [name, __] : syms.vars) syms.var_names.insert(name);
-    for (const auto& [name, __] : syms.procs) syms.proc_names.insert(name);
-  }
-}
-
-const ProgramSymbols::ModuleSyms* ProgramSymbols::module(
-    const std::string& name) const {
-  auto it = modules_.find(name);
-  return it == modules_.end() ? nullptr : &it->second;
-}
 
 // ---------------------------------------------------------------------------
 // Shared pass helpers.
@@ -782,17 +696,7 @@ void pass_fp_sensitivity(const ModuleAnalysis& ma, const ProgramSymbols& symbols
                          const PassContext& ctx,
                          std::vector<Diagnostic>* out) {
   const ProgramSymbols::ModuleSyms* syms = symbols.module(ma.module->name);
-  FpCallOracle oracle = [&](const std::string& name, std::size_t nargs) {
-    if (syms == nullptr || ctx.summaries == nullptr) return false;
-    auto pit = syms->procs.find(name);
-    if (pit == syms->procs.end()) return false;
-    for (const ProcRef& c : pit->second) {
-      if (!c.sp->is_function() || c.sp->params.size() != nargs) continue;
-      const ProcSummary* ps = ctx.summaries->find(c.sp);
-      if (ps != nullptr && ps->returns_real) return true;
-    }
-    return false;
-  };
+  const FpCallOracle oracle = summary_fp_oracle(syms, ctx.summaries);
   for (std::size_t s = 0; s < ma.subs.size(); ++s) {
     const Subprogram& sp = ma.module->subprograms[s];
     for (const FpSite& site : find_fp_sites(sp, syms, oracle)) {
@@ -911,10 +815,7 @@ AnalysisResult PassManager::run(const std::vector<const Module*>& modules,
       ma.module = m;
       DataflowContext ctx;
       const ProgramSymbols::ModuleSyms* syms = symbols.module(m->name);
-      if (syms != nullptr) {
-        ctx.module_vars = &syms->var_names;
-        ctx.procedures = &syms->proc_names;
-      }
+      if (syms != nullptr) ctx.module_vars = &syms->vars;
       PassContext pctx;
       if (summaries != nullptr) {
         pctx.summaries = summaries.get();

@@ -2,12 +2,9 @@
 //
 // A pass sees one module at a time plus (a) the per-subprogram dataflow
 // results computed once up front (cfg.hpp / dataflow.hpp) and (b) the
-// program-wide symbol tables, which mirror the metagraph builder's name
-// resolution: own subprograms, interface blocks expanded to their module
-// procedures, and use-imports with only-lists and renames (direct imports
-// only, matching the builder). Passes append structured Diagnostic records;
-// the manager sorts them deterministically and feeds the `lint.*` counters
-// and per-pass spans in the observability registry.
+// program-wide name resolution of lang/symbols.hpp. Passes append structured
+// Diagnostic records; the manager sorts them deterministically and feeds the
+// `lint.*` counters and per-pass spans in the observability registry.
 //
 // Default rules (interprocedural — call sites resolve through the mod/ref
 // summaries of summaries.hpp, so the dataflow rules see through the call
@@ -35,47 +32,14 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "analysis/dataflow.hpp"
 #include "analysis/diagnostics.hpp"
 #include "lang/ast.hpp"
+#include "lang/symbols.hpp"
 
 namespace rca::analysis {
-
-/// One candidate procedure a name may resolve to.
-struct ProcRef {
-  const lang::Module* module = nullptr;
-  const lang::Subprogram* sp = nullptr;
-};
-
-/// Program-wide name resolution, one entry per module (builder-compatible).
-class ProgramSymbols {
- public:
-  explicit ProgramSymbols(const std::vector<const lang::Module*>& modules);
-
-  struct ModuleSyms {
-    const lang::Module* ast = nullptr;
-    // Local name -> candidates (own subprograms + expanded interfaces +
-    // imports, honoring only-lists and renames).
-    std::unordered_map<std::string, std::vector<ProcRef>> procs;
-    // Local name -> (owning module, remote name) for module variables.
-    std::unordered_map<std::string,
-                       std::pair<const lang::Module*, std::string>>
-        vars;
-    // Key sets, shaped for DataflowContext.
-    std::unordered_set<std::string> var_names;
-    std::unordered_set<std::string> proc_names;
-  };
-
-  /// Null if the module is unknown.
-  const ModuleSyms* module(const std::string& name) const;
-
- private:
-  std::unordered_map<std::string, ModuleSyms> modules_;
-};
 
 /// Dataflow results for every subprogram of one module, computed once and
 /// shared by all passes.
@@ -96,7 +60,8 @@ struct PassContext {
   CallEffectFn call_effects;
 };
 
-using PassFn = std::function<void(const ModuleAnalysis&, const ProgramSymbols&,
+using PassFn = std::function<void(const ModuleAnalysis&,
+                                  const lang::ProgramSymbols&,
                                   const PassContext&,
                                   std::vector<Diagnostic>*)>;
 

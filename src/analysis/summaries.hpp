@@ -101,7 +101,7 @@ struct ProgramSummaries {
 /// reused from the baseline instead of recomputed.
 ProgramSummaries compute_summaries(
     const std::vector<const lang::Module*>& modules,
-    const ProgramSymbols& symbols, const SummaryBaseline* base = nullptr,
+    const lang::ProgramSymbols& symbols, const SummaryBaseline* base = nullptr,
     const std::set<std::string>* dirty_modules = nullptr);
 
 /// The reverse caller cone of `dirty` at module granularity (reflexive):
@@ -115,7 +115,7 @@ std::set<std::string> summary_cone(const CallGraph& cg,
 /// of every candidate a name resolves to (generic interfaces included).
 /// Returns nullopt for unresolved names, arity mismatches and recursive
 /// callees, which keeps the conservative model for those sites.
-CallEffectFn make_call_effects(const ProgramSymbols& symbols,
+CallEffectFn make_call_effects(const lang::ProgramSymbols& symbols,
                                const ProgramSummaries& summaries,
                                const std::string& module_name);
 

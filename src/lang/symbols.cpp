@@ -1,0 +1,86 @@
+#include "lang/symbols.hpp"
+
+#include <algorithm>
+
+namespace rca::lang {
+
+ProgramSymbols::ProgramSymbols(const std::vector<const Module*>& modules,
+                               const SubprogramFilter& keep) {
+  for (const Module* m : modules) {
+    auto& syms = modules_[m->name];
+    syms.ast = m;
+    for (const auto& sp : m->subprograms) {
+      if (keep && !keep(m->name, sp.name)) continue;
+      syms.procs[sp.name].push_back(ProcRef{m, &sp});
+    }
+    for (const auto& d : m->decls) {
+      syms.vars[d.name] = {m, d.name};
+    }
+  }
+  for (const Module* m : modules) {
+    auto& syms = modules_[m->name];
+    for (const auto& iface : m->interfaces) {
+      for (const auto& proc : iface.procedures) {
+        auto it = syms.procs.find(proc);
+        if (it == syms.procs.end()) continue;  // tolerated: dangling interface
+        auto& vec = syms.procs[iface.name];
+        vec.insert(vec.end(), it->second.begin(), it->second.end());
+      }
+    }
+  }
+  // Imports resolve in two rounds against immutable snapshots, so the result
+  // is independent of module input order: round one imports each source
+  // module's own exports, round two re-imports from the post-round-one
+  // tables, which adds exactly one level of re-exported imports.
+  auto apply_imports =
+      [this, &modules](
+          const std::unordered_map<std::string, ModuleSyms>& sources) {
+        for (const Module* m : modules) {
+          auto& syms = modules_[m->name];
+          auto process_use = [&syms, &sources](const UseStmt& use) {
+            auto sit = sources.find(use.module);
+            if (sit == sources.end()) return;  // unresolved module: skip
+            const auto& src = sit->second;
+            auto import_one = [&](const std::string& local,
+                                  const std::string& remote) {
+              auto pit = src.procs.find(remote);
+              if (pit != src.procs.end()) {
+                auto& vec = syms.procs[local];
+                for (const ProcRef& r : pit->second) {
+                  const bool present =
+                      std::any_of(vec.begin(), vec.end(),
+                                  [&](const ProcRef& x) { return x.sp == r.sp; });
+                  if (!present) vec.push_back(r);
+                }
+              }
+              auto vit = src.vars.find(remote);
+              if (vit != src.vars.end()) {
+                syms.vars.emplace(local, vit->second);
+              }
+            };
+            if (use.has_only) {
+              for (const auto& r : use.renames) import_one(r.local, r.remote);
+            } else {
+              for (const auto& [name, _] : src.procs) import_one(name, name);
+              for (const auto& [name, _] : src.vars) import_one(name, name);
+            }
+          };
+          for (const auto& use : m->uses) process_use(use);
+          for (const auto& sp : m->subprograms) {
+            for (const auto& use : sp.uses) process_use(use);
+          }
+        }
+      };
+  const std::unordered_map<std::string, ModuleSyms> own_exports = modules_;
+  apply_imports(own_exports);
+  const std::unordered_map<std::string, ModuleSyms> with_direct = modules_;
+  apply_imports(with_direct);
+}
+
+const ProgramSymbols::ModuleSyms* ProgramSymbols::module(
+    const std::string& name) const {
+  auto it = modules_.find(name);
+  return it == modules_.end() ? nullptr : &it->second;
+}
+
+}  // namespace rca::lang

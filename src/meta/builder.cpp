@@ -1,12 +1,10 @@
 #include "meta/builder.hpp"
 
-#include <algorithm>
 #include <cstdint>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "analysis/dataflow.hpp"
-#include "analysis/passes.hpp"
 #include "analysis/summaries.hpp"
 #include "interp/intrinsics.hpp"
 #include "meta/fragment.hpp"
@@ -21,6 +19,7 @@ using lang::Expr;
 using lang::ExprKind;
 using lang::Intent;
 using lang::Module;
+using lang::ProcRef;
 using lang::Stmt;
 using lang::StmtKind;
 using lang::Subprogram;
@@ -28,87 +27,12 @@ using lang::VarDecl;
 
 SymbolTables build_symbol_tables(const std::vector<const Module*>& modules,
                                  const BuilderOptions& opts) {
-  SymbolTables tables;
-  auto keep_sub = [&opts](const Module* m, const Subprogram& sp) {
-    return !opts.subprogram_filter || opts.subprogram_filter(m->name, sp.name);
-  };
-  // Own entities first.
-  for (const Module* m : modules) {
-    auto& syms = tables.modules[m->name];
-    syms.ast = m;
-    for (const auto& sp : m->subprograms) {
-      if (!keep_sub(m, sp)) continue;
-      syms.procs[sp.name].push_back(ProcRef{m, &sp});
-    }
-    for (const auto& d : m->decls) {
-      syms.vars[d.name] = {m, d.name};
-    }
-  }
-  // Interfaces expand to all their procedures (conservative mapping).
-  for (const Module* m : modules) {
-    auto& syms = tables.modules[m->name];
-    for (const auto& iface : m->interfaces) {
-      for (const auto& proc : iface.procedures) {
-        auto it = syms.procs.find(proc);
-        if (it == syms.procs.end()) continue;  // tolerated: dangling interface
-        auto& vec = syms.procs[iface.name];
-        vec.insert(vec.end(), it->second.begin(), it->second.end());
-      }
-    }
-  }
-  // Use-imports: resolved against an immutable snapshot of the exporters, in
-  // two rounds. Round one sees only each module's own entities; round two
-  // sees own + directly imported ones, so a re-exported import resolves one
-  // level deep regardless of module order (chained re-export beyond one
-  // level is still not followed).
-  auto apply_imports =
-      [&modules, &tables](
-          const std::unordered_map<std::string, SymbolTables::ModuleSyms>&
-              sources) {
-        for (const Module* m : modules) {
-          auto& syms = tables.modules[m->name];
-          auto process_use = [&sources, &syms](const lang::UseStmt& use) {
-            auto sit = sources.find(use.module);
-            if (sit == sources.end()) return;  // unresolved module: skip
-            const auto& src = sit->second;
-            auto import_one = [&](const std::string& local,
-                                  const std::string& remote) {
-              auto pit = src.procs.find(remote);
-              if (pit != src.procs.end()) {
-                auto& vec = syms.procs[local];
-                for (const ProcRef& r : pit->second) {
-                  const bool dup = std::any_of(
-                      vec.begin(), vec.end(),
-                      [&r](const ProcRef& x) { return x.sp == r.sp; });
-                  if (!dup) vec.push_back(r);
-                }
-              }
-              auto vit = src.vars.find(remote);
-              if (vit != src.vars.end()) {
-                syms.vars.emplace(local, vit->second);
-              }
-            };
-            if (use.has_only) {
-              for (const auto& r : use.renames) import_one(r.local, r.remote);
-            } else {
-              for (const auto& [name, _] : src.procs) import_one(name, name);
-              for (const auto& [name, _] : src.vars) import_one(name, name);
-            }
-          };
-          for (const auto& use : m->uses) process_use(use);
-          for (const auto& sp : m->subprograms) {
-            for (const auto& use : sp.uses) process_use(use);
-          }
-        }
-      };
-  const std::unordered_map<std::string, SymbolTables::ModuleSyms> own_exports =
-      tables.modules;
-  apply_imports(own_exports);
-  const std::unordered_map<std::string, SymbolTables::ModuleSyms> with_direct =
-      tables.modules;
-  apply_imports(with_direct);
+  SymbolTables tables{lang::ProgramSymbols(modules, opts.subprogram_filter),
+                      nullptr, nullptr};
   if (opts.summary_informed_pruning) {
-    auto psyms = std::make_shared<analysis::ProgramSymbols>(modules);
+    // Callee effects come from the whole program: a subprogram coverage
+    // dropped from the graph still tells its callers what it reads.
+    auto psyms = std::make_shared<lang::ProgramSymbols>(modules);
     tables.summaries = std::make_shared<analysis::ProgramSummaries>(
         analysis::compute_summaries(modules, *psyms));
     tables.analysis_symbols = std::move(psyms);
@@ -137,7 +61,9 @@ class ModuleWalker {
  public:
   ModuleWalker(const Module& m, const SymbolTables& tables,
                const BuilderOptions& opts, Fragment& frag)
-      : opts_(opts), tables_(tables), frag_(frag) {
+      : opts_(opts), tables_(tables), syms_(tables.symbols.module(m.name)),
+        frag_(frag) {
+    RCA_CHECK_MSG(syms_ != nullptr, "module missing from the symbol tables");
     build_module(m);
   }
 
@@ -199,10 +125,7 @@ class ModuleWalker {
           // Summary-informed: call sites resolve to callee mod/ref effects,
           // so stores whose only use is feeding a never-read dummy die too.
           const auto* asyms = tables_.analysis_symbols->module(m.name);
-          if (asyms != nullptr) {
-            ctx.module_vars = &asyms->var_names;
-            ctx.procedures = &asyms->proc_names;
-          }
+          if (asyms != nullptr) ctx.module_vars = &asyms->vars;
           ctx.call_effects = analysis::make_call_effects(
               *tables_.analysis_symbols, *tables_.summaries, m.name);
         }
@@ -289,7 +212,7 @@ class ModuleWalker {
       return;
     }
 
-    const std::vector<ProcRef>* cands = lookup_procs(scope, s.callee);
+    const std::vector<ProcRef>* cands = lookup_procs(s.callee);
     if (!cands) {
       throw Error("unresolved subroutine '" + s.callee + "'");
     }
@@ -372,7 +295,7 @@ class ModuleWalker {
       out->push_back(node_for_ref(e, scope));
       return;
     }
-    const std::vector<ProcRef>* cands = lookup_procs(scope, head.name);
+    const std::vector<ProcRef>* cands = lookup_procs(head.name);
     if (cands) {
       for (const ProcRef& cand : *cands) {
         if (!cand.sp->is_function()) continue;
@@ -427,7 +350,7 @@ class ModuleWalker {
     const lang::RefSegment& head = e.segments.front();
     if (e.segments.size() == 1 && head.has_args &&
         !is_declared_var(scope, head.name)) {
-      const std::vector<ProcRef>* cands = lookup_procs(scope, head.name);
+      const std::vector<ProcRef>* cands = lookup_procs(head.name);
       if (cands) {
         for (const ProcRef& cand : *cands) {
           if (cand.sp->is_function() &&
@@ -446,16 +369,12 @@ class ModuleWalker {
   }
 
   bool is_declared_var(const Scope& scope, const std::string& name) const {
-    if (scope.locals.count(name)) return true;
-    const auto& syms = tables_.modules.at(scope.mod->name);
-    return syms.vars.count(name) != 0;
+    return scope.locals.count(name) != 0 || syms_->vars.count(name) != 0;
   }
 
-  const std::vector<ProcRef>* lookup_procs(const Scope& scope,
-                                           const std::string& name) const {
-    const auto& syms = tables_.modules.at(scope.mod->name);
-    auto it = syms.procs.find(name);
-    return it == syms.procs.end() ? nullptr : &it->second;
+  const std::vector<ProcRef>* lookup_procs(const std::string& name) const {
+    auto it = syms_->procs.find(name);
+    return it == syms_->procs.end() ? nullptr : &it->second;
   }
 
   /// Node for a reference chain: resolves the base name's owning scope and
@@ -469,9 +388,8 @@ class ModuleWalker {
     if (scope.sub && scope.locals.count(base)) {
       return intern(scope.mod->name, scope.sub->name, canonical, e.line);
     }
-    const auto& syms = tables_.modules.at(scope.mod->name);
-    auto vit = syms.vars.find(base);
-    if (vit != syms.vars.end()) {
+    auto vit = syms_->vars.find(base);
+    if (vit != syms_->vars.end()) {
       // Module-level variable: lives with its owning module, no subprogram
       // scope. Derived chains canonicalize to the final component (the
       // component is one storage location regardless of assigning site).
@@ -489,6 +407,7 @@ class ModuleWalker {
 
   const BuilderOptions& opts_;
   const SymbolTables& tables_;
+  const lang::ProgramSymbols::ModuleSyms* syms_;  // the walked module's names
   Fragment& frag_;
   std::unordered_map<std::string, LocalId> local_ids_;
   std::unordered_map<std::string, std::uint32_t> io_label_ids_;
@@ -530,28 +449,32 @@ void replay_fragment(const Fragment& frag, Metagraph& mg) {
   mg.dead_stores_pruned += frag.dead_stores_pruned;
 }
 
+std::vector<Fragment> walk_modules(const std::vector<const Module*>& modules,
+                                   const SymbolTables& tables,
+                                   const BuilderOptions& opts) {
+  auto walk_one = [&modules, &tables, &opts](std::size_t i) {
+    return walk_module(*modules[i], tables, opts);
+  };
+  if (opts.pool != nullptr && modules.size() > 1) {
+    return opts.pool->parallel_map<Fragment>(modules.size(), walk_one);
+  }
+  std::vector<Fragment> fragments;
+  fragments.reserve(modules.size());
+  for (std::size_t i = 0; i < modules.size(); ++i) {
+    fragments.push_back(walk_one(i));
+  }
+  return fragments;
+}
+
 Metagraph build_metagraph(const std::vector<const Module*>& modules,
                           const BuilderOptions& opts) {
   const std::vector<const Module*> kept = filter_modules(modules, opts);
   const SymbolTables tables = build_symbol_tables(kept, opts);
-
-  auto walk_one = [&kept, &tables, &opts](std::size_t i) {
-    return walk_module(*kept[i], tables, opts);
-  };
-
-  std::vector<Fragment> fragments;
-  if (opts.pool != nullptr && kept.size() > 1) {
-    fragments = opts.pool->parallel_map<Fragment>(kept.size(), walk_one);
-  } else {
-    fragments.reserve(kept.size());
-    for (std::size_t i = 0; i < kept.size(); ++i) {
-      fragments.push_back(walk_one(i));
-    }
-  }
-
   // Deterministic reduction: module order, not completion order.
   Metagraph mg;
-  for (const Fragment& frag : fragments) replay_fragment(frag, mg);
+  for (const Fragment& frag : walk_modules(kept, tables, opts)) {
+    replay_fragment(frag, mg);
+  }
   return mg;
 }
 

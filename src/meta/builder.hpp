@@ -2,15 +2,15 @@
 // digraph using the paper's §4 rules.
 //
 // Two passes, as the paper requires: pass 1 reads every file and builds the
-// global hash tables of subprogram names (needed to tell function calls from
-// array references) and per-module use-maps; pass 2 walks every assignment
-// and call statement, adding nodes and edges.
+// program symbol table (lang/symbols.hpp: subprogram names, needed to tell
+// function calls from array references, and per-module use-maps); pass 2
+// walks every assignment and call statement, adding nodes and edges.
 //
 // Conservative static choices (all from §4):
 //   * interface calls map to ALL candidate procedures;
 //   * arrays are atomic — subscripts are ignored;
 //   * pointers are ordinary variables;
-//   * chained use statements are not followed (direct imports only);
+//   * use-imports follow one re-export level, no deeper chains;
 //   * derived-type chains canonicalize to their final component;
 //   * intrinsics are localized per call site;
 //   * control flow (if/do) contributes no edges — paths may therefore be
@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "lang/ast.hpp"
+#include "lang/symbols.hpp"
 #include "meta/metagraph.hpp"
 
 namespace rca {
@@ -39,8 +40,7 @@ struct BuilderOptions {
   /// are excluded from both the symbol tables and the statement walk, like
   /// the paper's codecov-driven pruning. Null means keep everything.
   std::function<bool(const std::string& module)> module_filter;
-  std::function<bool(const std::string& module, const std::string& sub)>
-      subprogram_filter;
+  lang::SubprogramFilter subprogram_filter;
 
   /// Liveness-pruned slicing (src/analysis): skip assignments the dataflow
   /// analysis proves dead — whole-variable stores to plain locals never read

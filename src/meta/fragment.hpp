@@ -21,48 +21,31 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "lang/ast.hpp"
+#include "lang/symbols.hpp"
 #include "meta/builder.hpp"
 #include "meta/metagraph.hpp"
 
 namespace rca::analysis {
-class ProgramSymbols;
 struct ProgramSummaries;
 }  // namespace rca::analysis
 
 namespace rca::meta {
 
-/// One candidate procedure a name may refer to.
-struct ProcRef {
-  const lang::Module* module = nullptr;
-  const lang::Subprogram* sp = nullptr;
-};
-
-/// Static symbol tables built in the builder's pass 1. Reads only
-/// interface-level module content: declarations, subprogram signatures,
-/// interface blocks and use statements — never statement bodies.
+/// Static symbol tables built in the builder's pass 1.
 struct SymbolTables {
-  struct ModuleSyms {
-    const lang::Module* ast = nullptr;
-    // Local name -> candidate procedures (own subprograms, own interfaces,
-    // imported subprograms/interfaces).
-    std::unordered_map<std::string, std::vector<ProcRef>> procs;
-    // Local name -> (owning module, remote name) for module variables
-    // (own and imported; own map to themselves).
-    std::unordered_map<std::string,
-                       std::pair<const lang::Module*, std::string>>
-        vars;
-  };
-  std::unordered_map<std::string, ModuleSyms> modules;
+  // Name resolution over the walked modules, without the subprograms the
+  // coverage filter rejects.
+  lang::ProgramSymbols symbols;
 
   // Interprocedural mod/ref context, built only when
-  // BuilderOptions::summary_informed_pruning is set (null otherwise). The
-  // summaries read statement bodies corpus-wide, which is why fragments
-  // walked with them are not cacheable across body edits.
-  std::shared_ptr<const analysis::ProgramSymbols> analysis_symbols;
+  // BuilderOptions::summary_informed_pruning is set (null otherwise). Both
+  // cover every subprogram, coverage-filtered ones included. The summaries
+  // read statement bodies corpus-wide, which is why fragments walked with
+  // them are not cacheable across body edits.
+  std::shared_ptr<const lang::ProgramSymbols> analysis_symbols;
   std::shared_ptr<const analysis::ProgramSummaries> summaries;
 };
 
@@ -127,6 +110,12 @@ struct Fragment {
 /// opts) — safe to run concurrently for different modules.
 Fragment walk_module(const lang::Module& m, const SymbolTables& tables,
                      const BuilderOptions& opts);
+
+/// Walks every module in `modules` — concurrently on `opts.pool` when set
+/// and there is more than one — and returns their fragments in input order.
+std::vector<Fragment> walk_modules(
+    const std::vector<const lang::Module*>& modules, const SymbolTables& tables,
+    const BuilderOptions& opts);
 
 /// Replays a fragment's op log against the shared metagraph, translating
 /// local ids through the global intern (idempotent across fragments: the

@@ -157,11 +157,11 @@ TxnResult run_transaction(const std::vector<TxnInput>& inputs,
     tables = base->tables;
     next->keepalive = base->keepalive;
   } else {
-    std::vector<const lang::Module*> walk_modules;
-    walk_modules.reserve(inputs.size());
-    for (const TxnInput& in : inputs) walk_modules.push_back(in.module);
+    std::vector<const lang::Module*> all_modules;
+    all_modules.reserve(inputs.size());
+    for (const TxnInput& in : inputs) all_modules.push_back(in.module);
     tables =
-        std::make_shared<const SymbolTables>(build_symbol_tables(walk_modules, opts));
+        std::make_shared<const SymbolTables>(build_symbol_tables(all_modules, opts));
     // Modules of one file are consecutive in module order, so adjacent
     // dedup keeps one handle per file.
     for (const TxnInput& in : inputs) {
@@ -173,18 +173,10 @@ TxnResult run_transaction(const std::vector<TxnInput>& inputs,
   }
   next->tables = tables;
 
-  auto walk_one = [&inputs, &to_walk, &tables, &opts](std::size_t j) {
-    return walk_module(*inputs[to_walk[j]].module, *tables, opts);
-  };
-  std::vector<Fragment> fresh;
-  if (opts.pool != nullptr && to_walk.size() > 1) {
-    fresh = opts.pool->parallel_map<Fragment>(to_walk.size(), walk_one);
-  } else {
-    fresh.reserve(to_walk.size());
-    for (std::size_t j = 0; j < to_walk.size(); ++j) {
-      fresh.push_back(walk_one(j));
-    }
-  }
+  std::vector<const lang::Module*> dirty_modules;
+  dirty_modules.reserve(to_walk.size());
+  for (std::size_t i : to_walk) dirty_modules.push_back(inputs[i].module);
+  std::vector<Fragment> fresh = walk_modules(dirty_modules, *tables, opts);
   for (std::size_t j = 0; j < to_walk.size(); ++j) {
     stats.spliced_nodes += fresh[j].keys.size();
     next->entries[to_walk[j]].frag =

@@ -78,10 +78,10 @@ struct TxnState {
   /// fresh build would be observationally identical. Skipping the rebuild is
   /// the second-largest cost of a warm single-module edit.
   std::shared_ptr<const SymbolTables> tables;
-  /// Owners of every AST `tables` (and the reused fragments' ProcRefs)
-  /// point into. Descendant generations copy this forward, so the ASTs of
-  /// the generation that built the tables outlive any state still using
-  /// them — even after the session that parsed them is evicted.
+  /// Owners of every AST `tables` point into. Descendant generations copy
+  /// this forward, so the ASTs of the generation that built the tables
+  /// outlive any state still using them — even after the session that
+  /// parsed them is evicted.
   std::vector<std::shared_ptr<const lang::SourceFile>> keepalive;
 };
 

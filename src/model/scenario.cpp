@@ -5,9 +5,9 @@
 #include <tuple>
 
 #include "analysis/fpsense.hpp"
-#include "analysis/passes.hpp"
 #include "analysis/summaries.hpp"
 #include "graph/bfs.hpp"
+#include "lang/symbols.hpp"
 #include "model/experiments.hpp"
 #include "support/error.hpp"
 
@@ -116,7 +116,7 @@ std::vector<interp::WatchKey> scenario_planted_sites(
   const analysis::FpSite::Kind wanted = s.kind == CauseKind::kFpContraction
                                             ? analysis::FpSite::Kind::kContraction
                                             : analysis::FpSite::Kind::kReassociation;
-  const analysis::ProgramSymbols symbols(modules);
+  const lang::ProgramSymbols symbols(modules);
   const analysis::ProgramSummaries summaries =
       analysis::compute_summaries(modules, symbols);
 
@@ -128,19 +128,9 @@ std::vector<interp::WatchKey> scenario_planted_sites(
                              : !is_cam_module(m->name)) {
       continue;
     }
-    const analysis::ProgramSymbols::ModuleSyms* syms = symbols.module(m->name);
-    analysis::FpCallOracle oracle = [&](const std::string& name,
-                                        std::size_t nargs) {
-      if (syms == nullptr) return false;
-      auto pit = syms->procs.find(name);
-      if (pit == syms->procs.end()) return false;
-      for (const analysis::ProcRef& c : pit->second) {
-        if (!c.sp->is_function() || c.sp->params.size() != nargs) continue;
-        const analysis::ProcSummary* ps = summaries.find(c.sp);
-        if (ps != nullptr && ps->returns_real) return true;
-      }
-      return false;
-    };
+    const lang::ProgramSymbols::ModuleSyms* syms = symbols.module(m->name);
+    const analysis::FpCallOracle oracle =
+        analysis::summary_fp_oracle(syms, &summaries);
     for (const lang::Subprogram& sp : m->subprograms) {
       for (const analysis::FpSite& site :
            analysis::find_fp_sites(sp, syms, oracle)) {

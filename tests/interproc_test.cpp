@@ -22,9 +22,12 @@
 #include "meta/serialize.hpp"
 #include "obs/obs.hpp"
 #include "slice/slicer.hpp"
+#include "support/strings.hpp"
 
 namespace rca::analysis {
 namespace {
+
+using lang::ProgramSymbols;
 
 /// Owns the parsed file so Module pointers stay valid for the test body.
 struct Parsed {
@@ -494,7 +497,7 @@ end module fp2
 }
 
 // ---------------------------------------------------------------------------
-// One-level re-export resolution (ProgramSymbols / builder parity)
+// One-level re-export resolution
 
 TEST(Symbols, OneLevelReExportResolvesRegardlessOfModuleOrder) {
   const char* fwd = R"(module origin
@@ -525,6 +528,13 @@ end module client
     EXPECT_FALSE(cg.has_unknown_call[static_cast<std::size_t>(go)])
         << "re-exported `act` must resolve through hub";
     ASSERT_EQ(cg.callees[static_cast<std::size_t>(go)].size(), 1u);
+    // A coverage filter that drops origin::act removes it at the source, so
+    // the re-export has nothing left to carry.
+    const ProgramSymbols filtered(
+        mods, [](const std::string& m, const std::string& sub) {
+          return !(m == "origin" && sub == "act");
+        });
+    EXPECT_EQ(filtered.module("client")->procs.count("act"), 0u);
   };
   auto mods = p.modules();
   check(mods);
@@ -559,6 +569,32 @@ TEST(SummaryPruning, NoOpWhenSummariesAddNothing) {
   informed.summary_informed_pruning = true;
   EXPECT_EQ(meta::save_metagraph_to_string(meta::build_metagraph(mods, informed)),
             meta::save_metagraph_to_string(meta::build_metagraph(mods, plain)));
+}
+
+TEST(SummaryPruning, CoverageFilteredCalleeStillInformsItsCallers) {
+  // The filter drops noop from the graph, but its summary (never reads its
+  // dummy) must still reach stores_dead: `u = 5.0` only feeds noop, so it is
+  // pruned. Summaries resolved through the filtered table would leave the
+  // call unresolved and keep the store.
+  Parsed p(kNoopCalleeSrc);
+  const auto mods = p.modules();
+  meta::BuilderOptions opts;
+  opts.prune_dead_stores = true;
+  opts.summary_informed_pruning = true;
+  opts.subprogram_filter = [](const std::string&, const std::string& sub) {
+    return sub != "noop";
+  };
+  const meta::Metagraph mg = meta::build_metagraph(mods, opts);
+  EXPECT_EQ(mg.dead_stores_pruned, 1u);
+  const std::string v2 =
+      meta::save_metagraph_to_string(mg, meta::SnapshotFormat::kV2Binary);
+  std::string hex;
+  for (unsigned char c : v2) hex += strfmt("%02x", c);
+  EXPECT_EQ(hex,
+            "7263612d6d657461677261706820320a4e460301790663616c6c65720b726561"
+            "64735f756e7365740e0001740663616c6c65720b72656164735f756e7365740e"
+            "0001790663616c6c65720b73746f7265735f6465616415004503010100490100"
+            "5a084fbd32f41c6db316");
 }
 
 TEST(SummaryPruning, ImpureModuleFilterAdmitsStateOwnersOnly)
