@@ -330,6 +330,7 @@ void CampaignManager::run(const std::shared_ptr<Campaign>& c) {
   span.attr("scenario",
             c->params.scenario.empty() ? "-" : c->params.scenario.c_str());
   span.attr("runtime_sampling", c->params.runtime_sampling);
+  CampaignState terminal = CampaignState::kFailed;
   try {
     const meta::Metagraph& mg = c->session->metagraph();
 
@@ -471,9 +472,8 @@ void CampaignManager::run(const std::shared_ptr<Campaign>& c) {
       c->first_detection_at = res.first_detection_at;
       c->ranked = std::move(ranked);
       c->hit = hit;
-      c->state =
-          res.cancelled ? CampaignState::kCancelled : CampaignState::kDone;
     }
+    terminal = res.cancelled ? CampaignState::kCancelled : CampaignState::kDone;
     obs::count(res.cancelled ? "campaign.cancelled" : "campaign.completed");
     span.attr("iterations", res.iterations.size());
     span.attr("final_nodes", res.final_nodes.size());
@@ -481,8 +481,8 @@ void CampaignManager::run(const std::shared_ptr<Campaign>& c) {
     {
       std::lock_guard<std::mutex> lock(c->mu);
       c->error = e.what();
-      c->state = CampaignState::kFailed;
     }
+    terminal = CampaignState::kFailed;
     obs::count("campaign.failed");
   }
   c->release_pin();
@@ -490,7 +490,10 @@ void CampaignManager::run(const std::shared_ptr<Campaign>& c) {
   // campaigns that never finished are resumable.
   if (c->journaled) CampaignJournal::remove(opts_.journal_dir, c->id);
   {
+    // Publish the terminal state last: whoever sees it (wait(), status,
+    // result) also sees the outcome counted and the session pin released.
     std::lock_guard<std::mutex> lock(c->mu);
+    c->state = terminal;
     span.attr("state", campaign_state_name(c->state));
   }
   c->cv.notify_all();
@@ -722,7 +725,7 @@ CampaignParams parse_campaign_request(
       static_cast<std::size_t>(body.get_int("min_size", 4));
   r.small_enough = static_cast<std::size_t>(body.get_int("small_enough", 10));
   r.rank_differences_on_stall = body.get_bool("rank_on_stall", true);
-  r.gn_budget_ms = body.get_int("gn_budget_ms", 10000);
+  r.gn_budget_ms = body.get_int("gn_budget_ms", service::kGnBudgetMs);
   r.community_method =
       graph::parse_community_method(body.get_string("method", "gn"));
 

@@ -237,13 +237,10 @@ struct Interpreter::Impl {
                      const std::string& remote, int line) {
     const lang::VarDecl* decl = src->ast->find_decl(remote);
     if (decl) {
-      if (decl->is_parameter) {
-        // Imported parameters are resolved lazily (pass 3 fixpoint) via the
-        // imported_vars indirection as well; record both.
-        dst->imported_vars[local] = ImportedVar{src, remote};
-      } else {
-        dst->imported_vars[local] = ImportedVar{src, remote};
-      }
+      // Variables and parameters alike go through the imported_vars
+      // indirection; imported parameters are resolved lazily (pass 3
+      // fixpoint) through it.
+      dst->imported_vars[local] = ImportedVar{src, remote};
       return;
     }
     auto cit = src->callables.find(remote);

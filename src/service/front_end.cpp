@@ -90,4 +90,26 @@ std::vector<lang::SourceFile> parse_sources(
   return files;
 }
 
+bool in_build_list(const std::vector<std::string>& build_list,
+                   const std::string& module) {
+  if (build_list.empty()) return true;
+  return std::find(build_list.begin(), build_list.end(), module) !=
+         build_list.end();
+}
+
+void fold_parse_errors(
+    const std::vector<std::pair<std::string, std::string>>& parse_errors,
+    std::vector<analysis::Diagnostic>* diagnostics) {
+  for (const auto& [path, message] : parse_errors) {
+    analysis::Diagnostic d;
+    d.rule = "parse-error";
+    d.severity = analysis::Severity::kError;
+    d.file = path;
+    d.message = message;
+    diagnostics->push_back(std::move(d));
+  }
+  std::sort(diagnostics->begin(), diagnostics->end(),
+            analysis::diagnostic_less);
+}
+
 }  // namespace rca::service

@@ -1,13 +1,16 @@
-// Shared corpus front-end helpers: on-disk source collection and (optionally
-// parallel) parsing. Factored out of apps/rca_tool.cpp so the CLI's graph/
-// lint subcommands and the resident service's session store run the exact
-// same front end — same file ordering, same failure folding.
+// Shared corpus front-end helpers: on-disk source collection, (optionally
+// parallel) parsing, the build-list filter and the folding of parse failures
+// into lint diagnostics. The session store builds every graph through them
+// (`rca-tool graph`, `watch` and the daemon all go through the store), and
+// `rca-tool lint`, which needs no graph, calls them directly — so every
+// surface sees the same file ordering, module set and failure folding.
 #pragma once
 
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "analysis/diagnostics.hpp"
 #include "lang/ast.hpp"
 
 namespace rca {
@@ -35,5 +38,17 @@ std::vector<std::string> collect_fortran_paths(const std::string& src_dir);
 std::vector<lang::SourceFile> parse_sources(
     const std::vector<std::pair<std::string, std::string>>& sources,
     ThreadPool* pool, std::vector<std::pair<std::string, std::string>>* errors);
+
+/// True when `module` is in the build configuration (one module name per
+/// entry); an empty list keeps every module.
+bool in_build_list(const std::vector<std::string>& build_list,
+                   const std::string& module);
+
+/// A file the front end cannot parse is itself a finding: appends one
+/// `parse-error` diagnostic per (path, message) failure, then re-sorts the
+/// stream by analysis::diagnostic_less so every emitter sees them in order.
+void fold_parse_errors(
+    const std::vector<std::pair<std::string, std::string>>& parse_errors,
+    std::vector<analysis::Diagnostic>* diagnostics);
 
 }  // namespace rca::service

@@ -421,7 +421,7 @@ Response Router::handle_communities(const JsonValue& body) {
   // Wall-clock budget: GN's per-removal betweenness recompute is the
   // service's slowest operation. On expiry the request still answers —
   // with Louvain's partition — instead of timing out.
-  opts.budget_ms = body.get_int("budget_ms", opts_.gn_budget_ms);
+  opts.budget_ms = body.get_int("budget_ms", kGnBudgetMs);
   // Pivot sampling trades exact betweenness for a seeded estimate so big
   // sessions can answer inside the budget instead of falling back.
   opts.samples = sample_count(body);

@@ -110,6 +110,13 @@ struct HandlerError {
   int retry_after = 0;
 };
 
+/// Default wall-clock budget for Girvan–Newman community detection, in
+/// /v1/communities requests and refinement campaigns alike; on expiry the
+/// request falls back to Louvain (counter: community.fallback) and the
+/// response says so. A body may override it via "budget_ms"
+/// (/v1/communities) or "gn_budget_ms" (/v1/refine); 0 = unlimited.
+inline constexpr long long kGnBudgetMs = 10000;
+
 struct RouterOptions {
   /// Requests allowed in flight (queued + executing) before 429; 0 = no cap.
   std::size_t max_in_flight = 64;
@@ -117,11 +124,6 @@ struct RouterOptions {
   /// via "deadline_ms".
   long long default_deadline_ms = 30000;
   std::size_t max_body_bytes = 8 * 1024 * 1024;
-  /// Default wall-clock budget for Girvan–Newman community requests; on
-  /// expiry the request falls back to Louvain (counter: community.fallback)
-  /// and the response says so. A body may override via "budget_ms".
-  /// 0 = unlimited.
-  long long gn_budget_ms = 10000;
   /// Worker pool requests execute on. Must stay distinct from the session
   /// store's build pool — a request task blocking on parallel_for of its own
   /// pool would deadlock. Null runs requests inline (tests).

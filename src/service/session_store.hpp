@@ -200,10 +200,11 @@ class SessionStore {
  public:
   explicit SessionStore(SessionStoreOptions opts);
 
-  /// Content hash for (config, sources) — the session identity. Exposed so
-  /// clients and tests can predict keys. Deliberately the same recipe as
-  /// `rca-tool graph --snapshot`, so a CLI-populated snapshot directory
-  /// warm-starts the daemon (and vice versa).
+  /// Content hash for (config, sources) — the session identity and the
+  /// snapshot-cache key. Exposed so clients and tests can predict keys.
+  /// `rca-tool graph`, `rca-tool watch` and the daemon all build through the
+  /// store, so a snapshot directory any of them populated warm-starts the
+  /// others.
   static meta::SnapshotKey snapshot_key(const SessionConfig& config,
                                         const SourceList& sources);
   static std::string compute_key(const SessionConfig& config,

@@ -24,9 +24,10 @@ function(expect_counter file name expected)
   endif()
 endfunction()
 
+# Paths are relative to WORKDIR unless absolute.
 function(expect_same_bytes a b why)
-  execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
-                  ${WORKDIR}/${a} ${WORKDIR}/${b} RESULT_VARIABLE rc)
+  execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files ${a} ${b}
+                  WORKING_DIRECTORY ${WORKDIR} RESULT_VARIABLE rc)
   if(NOT rc EQUAL 0)
     message(FATAL_ERROR "${a} and ${b} differ: ${why}")
   endif()
@@ -169,3 +170,27 @@ execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
 if(same_rc EQUAL 0)
   message(FATAL_ERROR "--prune-dead-stores had no effect on the corpus graph")
 endif()
+
+# ---------------------------------------------------------------------------
+# Golden pins: the in-tree golden corpus builds exactly expected.tsv and
+# lints clean to exactly the pinned TSV in each mode.
+run(graph --src ${GOLDEN} --out golden.tsv)
+expect_same_bytes(golden.tsv ${GOLDEN}/expected.tsv
+                  "golden corpus metagraph drifted from tests/golden/expected.tsv")
+run(lint --src ${GOLDEN} --fail-on warn --tsv golden_lint_interproc.tsv)
+expect_same_bytes(golden_lint_interproc.tsv ${GOLDEN}/expected_lint_interproc.tsv
+                  "interprocedural lint drifted from expected_lint_interproc.tsv")
+run(lint --src ${GOLDEN} --fail-on warn --no-interprocedural
+    --tsv golden_lint.tsv)
+expect_same_bytes(golden_lint.tsv ${GOLDEN}/expected_lint.tsv
+                  "intraprocedural lint drifted from expected_lint.tsv")
+
+# ---------------------------------------------------------------------------
+# One snapshot directory serves every tool: a session `watch` opens over the
+# corpus `graph` just cached warm-starts from that snapshot, no parse.
+run(graph --src corpus --build-list corpus/build_list.txt --snapshot snap
+    --out mg_shared.tsv)
+run(watch --src corpus --build-list corpus/build_list.txt --snapshot snap
+    --iterations 1 --interval-ms 1 --metrics-out m_watch.json)
+expect_counter(m_watch.json service.session.snapshot_warm 1)
+expect_counter(m_watch.json meta.snapshot.hits 1)
