@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <unordered_set>
 
-#include "interp/intrinsics.hpp"
-
 namespace rca::analysis {
 
 using lang::Expr;
@@ -12,17 +10,13 @@ using lang::ExprKind;
 using lang::Module;
 using lang::ProcRef;
 using lang::ProgramSymbols;
+using lang::RefBinding;
+using lang::RefKind;
 using lang::Stmt;
 using lang::StmtKind;
 using lang::Subprogram;
 
 namespace {
-
-// Builtins with dedicated metagraph semantics are not user procedures and
-// never contribute call edges (mirrors the builder and CallChecker).
-bool is_builtin(const std::string& name) {
-  return name == "outfld" || name == "shr_rand_uniform";
-}
 
 /// Collects callee edges for one subprogram body.
 class EdgeCollector {
@@ -34,44 +28,23 @@ class EdgeCollector {
     for (const auto& p : sp.params) locals_.insert(p);
     for (const auto& d : sp.decls) locals_.insert(d.name);
     if (sp.is_function()) locals_.insert(sp.result_name);
-    for (const auto& st : sp.body) walk_stmt(*st);
+    lang::walk_stmts(
+        sp.body,
+        [this](const Stmt& s) {
+          if (s.kind == StmtKind::kAssign) {
+            walk_expr(s.lhs.get());
+            walk_expr(s.rhs.get());
+          } else if (s.kind == StmtKind::kCall) {
+            // Builtins are not user procedures: no edge, nothing unknown.
+            const RefBinding b = lang::classify_call(syms_, s.callee);
+            if (b.kind != RefKind::kBuiltin) add_edges(b, false);
+            for (const auto& a : s.args) walk_expr(a.get());
+          }
+        },
+        [this](const Expr* e) { walk_expr(e); });
   }
 
  private:
-  void walk_stmt(const Stmt& s) {
-    switch (s.kind) {
-      case StmtKind::kAssign:
-        walk_expr(s.lhs.get());
-        walk_expr(s.rhs.get());
-        break;
-      case StmtKind::kCall:
-        resolve(s.callee, /*functions_only=*/false);
-        for (const auto& a : s.args) walk_expr(a.get());
-        break;
-      case StmtKind::kIf:
-        walk_expr(s.cond.get());
-        for (const auto& st : s.body) walk_stmt(*st);
-        for (const auto& ei : s.elseifs) {
-          walk_expr(ei.cond.get());
-          for (const auto& st : ei.body) walk_stmt(*st);
-        }
-        for (const auto& st : s.else_body) walk_stmt(*st);
-        break;
-      case StmtKind::kDo:
-        walk_expr(s.from.get());
-        walk_expr(s.to.get());
-        walk_expr(s.step.get());
-        for (const auto& st : s.body) walk_stmt(*st);
-        break;
-      case StmtKind::kDoWhile:
-        walk_expr(s.cond.get());
-        for (const auto& st : s.body) walk_stmt(*st);
-        break;
-      default:
-        break;
-    }
-  }
-
   void walk_expr(const Expr* e) {
     if (e == nullptr) return;
     if (e->kind == ExprKind::kUnary || e->kind == ExprKind::kBinary) {
@@ -80,38 +53,31 @@ class EdgeCollector {
       return;
     }
     if (e->kind != ExprKind::kRef) return;
-    // The ambiguous `name(...)` form is a function call when the base is
-    // neither a subprogram variable, a visible module variable, nor an
-    // intrinsic — the same discrimination the dataflow walker applies.
-    const std::string& base = e->base_name();
-    if (e->is_call_or_index() && locals_.count(base) == 0 &&
-        (syms_ == nullptr || syms_->vars.find(base) == syms_->vars.end()) &&
-        !interp::is_intrinsic_function(base)) {
-      resolve(base, /*functions_only=*/true);
+    const RefBinding b =
+        lang::classify_ref(syms_, *e, locals_.count(e->base_name()) != 0);
+    if (b.is_call()) {
+      add_edges(b, /*functions_only=*/true);
     }
     for (const auto& seg : e->segments) {
       for (const auto& a : seg.args) walk_expr(a.get());
     }
   }
 
-  void resolve(const std::string& name, bool functions_only) {
-    if (is_builtin(name)) return;
-    if (syms_ != nullptr) {
-      auto pit = syms_->procs.find(name);
-      if (pit != syms_->procs.end()) {
-        bool any = false;
-        for (const ProcRef& c : pit->second) {
-          if (functions_only && !c.sp->is_function()) continue;
-          const int idx = cg_.index_of(c.sp);
-          if (idx >= 0) {
-            out_->push_back(static_cast<std::size_t>(idx));
-            any = true;
-          }
+  // Every candidate is an edge, whatever its arity; none makes the call
+  // unknown.
+  void add_edges(const RefBinding& b, bool functions_only) {
+    bool any = false;
+    if (b.kind == RefKind::kProcedure) {
+      for (const ProcRef& c : *b.procs) {
+        if (functions_only && !c.sp->is_function()) continue;
+        const int idx = cg_.index_of(c.sp);
+        if (idx >= 0) {
+          out_->push_back(static_cast<std::size_t>(idx));
+          any = true;
         }
-        if (any) return;
       }
     }
-    *unknown_ = true;
+    if (!any) *unknown_ = true;
   }
 
   const CallGraph& cg_;

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "interp/intrinsics.hpp"
-
 namespace rca::analysis {
 
 using lang::Expr;
@@ -205,30 +203,17 @@ class FactExtractor {
         break;
     }
 
-    const std::string& base = e->base_name();
-    const int id = vars_.lookup(base);
-    if (id >= 0) {
-      facts_.uses.push_back({id, e});
-      for (const auto& seg : e->segments) {
-        for (const auto& a : seg.args) read_expr(a.get());
-      }
-      return;
-    }
-
-    // Base is not a subprogram variable: module data, or a function call.
-    if (e->is_call_or_index() && !is_known_module_var(base) &&
-        !interp::is_intrinsic_function(base)) {
+    const int id = vars_.lookup(e->base_name());
+    if (id >= 0) facts_.uses.push_back({id, e});
+    if (lang::classify_ref(ctx_.syms, *e, id >= 0).is_call()) {
       // Treat as a call: reference arguments may be written by the callee.
-      extract_call_args(base, e->segments[0].args, /*function_context=*/true);
+      extract_call_args(e->base_name(), e->segments[0].args,
+                        /*function_context=*/true);
       return;
     }
     for (const auto& seg : e->segments) {
       for (const auto& a : seg.args) read_expr(a.get());
     }
-  }
-
-  bool is_known_module_var(const std::string& name) const {
-    return ctx_.module_vars != nullptr && ctx_.module_vars->count(name) > 0;
   }
 
   const VarTable& vars_;

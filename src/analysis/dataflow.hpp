@@ -95,11 +95,12 @@ using CallEffectFn = std::function<std::optional<CallEffect>(
     const std::string& name, std::size_t nargs, bool function_context)>;
 
 /// Extra name resolution the dataflow walker uses to classify the ambiguous
-/// single-segment `name(...)` form when `name` is not a subprogram variable.
-/// All members are optional; absent ones make the walker conservative (treat
-/// as a call whose reference arguments may be read and written).
+/// single-segment `name(...)` form (lang::classify_ref) when `name` is not a
+/// subprogram variable. All members are optional; absent ones make the
+/// walker conservative (treat as a call whose reference arguments may be
+/// read and written).
 struct DataflowContext {
-  const lang::VarBindings* module_vars = nullptr;  // data names
+  const lang::ProgramSymbols::ModuleSyms* syms = nullptr;  // module names
   CallEffectFn call_effects;  // interprocedural mod/ref summaries
 };
 

@@ -5,7 +5,6 @@
 #include <unordered_map>
 
 #include "analysis/summaries.hpp"
-#include "interp/intrinsics.hpp"
 #include "lang/printer.hpp"
 
 namespace rca::analysis {
@@ -16,6 +15,8 @@ using lang::Module;
 using lang::Op;
 using lang::ProcRef;
 using lang::ProgramSymbols;
+using lang::RefBinding;
+using lang::RefKind;
 using lang::Stmt;
 using lang::StmtKind;
 using lang::Subprogram;
@@ -61,42 +62,19 @@ class FpScanner {
             const FpCallOracle& returns_real, std::vector<FpSite>* out)
       : sp_(sp), syms_(syms), returns_real_(returns_real), out_(out) {
     for (const VarDecl& d : sp.decls) decls_.emplace(d.name, &d);
-    for (const auto& st : sp.body) walk_stmt(*st);
+    lang::walk_stmts(
+        sp.body,
+        [this](const Stmt& s) {
+          if (s.kind == StmtKind::kAssign) {
+            scan_root(s.rhs.get(), s.lhs ? s.lhs->base_name() : std::string());
+          } else if (s.kind == StmtKind::kCall) {
+            for (const auto& a : s.args) scan_root(a.get(), "");
+          }
+        },
+        [this](const Expr* e) { scan_root(e, ""); });
   }
 
  private:
-  void walk_stmt(const Stmt& s) {
-    switch (s.kind) {
-      case StmtKind::kAssign:
-        scan_root(s.rhs.get(), s.lhs ? s.lhs->base_name() : std::string());
-        break;
-      case StmtKind::kCall:
-        for (const auto& a : s.args) scan_root(a.get(), "");
-        break;
-      case StmtKind::kIf:
-        scan_root(s.cond.get(), "");
-        for (const auto& st : s.body) walk_stmt(*st);
-        for (const auto& ei : s.elseifs) {
-          scan_root(ei.cond.get(), "");
-          for (const auto& st : ei.body) walk_stmt(*st);
-        }
-        for (const auto& st : s.else_body) walk_stmt(*st);
-        break;
-      case StmtKind::kDo:
-        scan_root(s.from.get(), "");
-        scan_root(s.to.get(), "");
-        scan_root(s.step.get(), "");
-        for (const auto& st : s.body) walk_stmt(*st);
-        break;
-      case StmtKind::kDoWhile:
-        scan_root(s.cond.get(), "");
-        for (const auto& st : s.body) walk_stmt(*st);
-        break;
-      default:
-        break;
-    }
-  }
-
   void scan_root(const Expr* e, const std::string& target) {
     target_ = target;
     scan(e, /*parent_is_chain=*/false);
@@ -161,29 +139,36 @@ class FpScanner {
       case ExprKind::kRef:
         break;
     }
-    const std::string& base = e.base_name();
-    auto dit = decls_.find(base);
-    if (dit != decls_.end()) return dit->second->type.kind == TypeKind::kReal;
-    if (syms_ != nullptr) {
-      auto vit = syms_->vars.find(base);
-      if (vit != syms_->vars.end()) {
-        const VarDecl* d = vit->second.first->find_decl(vit->second.second);
+    // Subprogram variables are the declared ones: an undeclared dummy
+    // falls through to module data of the same name.
+    auto dit = decls_.find(e.base_name());
+    const RefBinding b = lang::classify_ref(syms_, e, dit != decls_.end());
+    switch (b.kind) {
+      case RefKind::kLocal:
+        return dit->second->type.kind == TypeKind::kReal;
+      case RefKind::kModuleVar: {
+        const VarDecl* d = b.var->first->find_decl(b.var->second);
         return d != nullptr && d->type.kind == TypeKind::kReal;
       }
-    }
-    if (e.is_call_or_index()) {
-      const std::size_t nargs = e.segments[0].args.size();
-      if (interp::is_intrinsic_function(base)) {
-        if (is_fp_intrinsic(base)) return true;
+      case RefKind::kIntrinsic:
+        if (is_fp_intrinsic(e.base_name())) return true;
         // abs/max/min/... follow their arguments.
         for (const auto& a : e.segments[0].args) {
           if (a && is_fp(*a)) return true;
         }
         return false;
-      }
-      if (returns_real_) return returns_real_(base, nargs);
+      case RefKind::kProcedure:
+        if (!returns_real_) return false;
+        for (const ProcRef& c : *b.procs) {
+          if (lang::binds_call(*c.sp, e.segments[0].args.size(), true) &&
+              returns_real_(*c.sp)) {
+            return true;
+          }
+        }
+        return false;
+      default:
+        return false;
     }
-    return false;
   }
 
   const Subprogram& sp_;
@@ -232,18 +217,10 @@ std::vector<FpSite> find_fp_sites(const Subprogram& sp,
   return out;
 }
 
-FpCallOracle summary_fp_oracle(const ProgramSymbols::ModuleSyms* syms,
-                               const ProgramSummaries* summaries) {
-  return [syms, summaries](const std::string& name, std::size_t nargs) {
-    if (syms == nullptr || summaries == nullptr) return false;
-    auto pit = syms->procs.find(name);
-    if (pit == syms->procs.end()) return false;
-    for (const ProcRef& c : pit->second) {
-      if (!c.sp->is_function() || c.sp->params.size() != nargs) continue;
-      const ProcSummary* ps = summaries->find(c.sp);
-      if (ps != nullptr && ps->returns_real) return true;
-    }
-    return false;
+FpCallOracle summary_fp_oracle(const ProgramSummaries* summaries) {
+  return [summaries](const Subprogram& fn) {
+    const ProcSummary* ps = summaries != nullptr ? summaries->find(&fn) : nullptr;
+    return ps != nullptr && ps->returns_real;
   };
 }
 
@@ -254,7 +231,7 @@ std::string fpsense_report_json(const std::vector<const Module*>& modules,
   bool first = true;
   for (const Module* m : modules) {
     const ProgramSymbols::ModuleSyms* syms = symbols.module(m->name);
-    const FpCallOracle oracle = summary_fp_oracle(syms, &summaries);
+    const FpCallOracle oracle = summary_fp_oracle(&summaries);
     for (const Subprogram& sp : m->subprograms) {
       for (const FpSite& site : find_fp_sites(sp, syms, oracle)) {
         if (!first) out += ',';

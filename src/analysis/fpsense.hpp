@@ -17,7 +17,6 @@
 // plants perturbations at.
 #pragma once
 
-#include <cstddef>
 #include <functional>
 #include <string>
 #include <vector>
@@ -39,23 +38,20 @@ struct FpSite {
 
 const char* fp_site_kind_name(FpSite::Kind k);
 
-/// Does `name(...)` with `nargs` arguments resolve to a real-valued user
-/// function? Extends the taint through procedure summaries; a null oracle
-/// treats unresolved calls as non-FP.
-using FpCallOracle =
-    std::function<bool(const std::string& name, std::size_t nargs)>;
+/// Does user function `fn`, a candidate a `name(...)` site binds, return a
+/// real? Extends the taint through procedure summaries; a null oracle treats
+/// user function calls as non-FP.
+using FpCallOracle = std::function<bool(const lang::Subprogram& fn)>;
 
 /// FP-sensitive sites of one subprogram, in statement walk order.
 std::vector<FpSite> find_fp_sites(const lang::Subprogram& sp,
                                   const lang::ProgramSymbols::ModuleSyms* syms,
                                   const FpCallOracle& returns_real);
 
-/// The summary-backed oracle: true when some candidate `name` resolves to in
-/// `syms` is a function of matching arity whose summary says it returns a
-/// real. Either pointer null makes every call non-FP; both must outlive the
-/// returned oracle.
-FpCallOracle summary_fp_oracle(const lang::ProgramSymbols::ModuleSyms* syms,
-                               const ProgramSummaries* summaries);
+/// The summary-backed oracle: true when the candidate's summary says it
+/// returns a real. A null `summaries` makes every call non-FP; it must
+/// outlive the returned oracle.
+FpCallOracle summary_fp_oracle(const ProgramSummaries* summaries);
 
 /// Deterministic JSON report, schema `rca.fpsense.v1`: every site across
 /// `modules` plus the transitively FP-sensitive procedures from `summaries`.

@@ -19,6 +19,8 @@ using lang::Module;
 using lang::Op;
 using lang::ProcRef;
 using lang::ProgramSymbols;
+using lang::RefBinding;
+using lang::RefKind;
 using lang::Stmt;
 using lang::StmtKind;
 using lang::Subprogram;
@@ -343,18 +345,12 @@ TypeGuess guess_type(const Expr* e, const VarTable& vars,
   }
   if (e->segments.size() > 1) return {};  // component types stay unresolved
   const int id = vars.lookup(e->base_name());
-  if (id >= 0) {
-    const VarInfo& info = vars.var(id);
-    return info.decl != nullptr ? class_of_spec(info.decl->type) : TypeGuess{};
-  }
-  if (syms != nullptr) {
-    auto vit = syms->vars.find(e->base_name());
-    if (vit != syms->vars.end()) {
-      const VarDecl* d = vit->second.first->find_decl(vit->second.second);
-      if (d != nullptr) return class_of_spec(d->type);
-    }
-  }
-  return {};  // function result or unresolved: unknown
+  const RefBinding b = lang::classify_ref(syms, *e, id >= 0);
+  const VarDecl* d = nullptr;
+  if (b.kind == RefKind::kLocal) d = vars.var(id).decl;
+  if (b.kind == RefKind::kModuleVar) d = b.var->first->find_decl(b.var->second);
+  // Function results and unresolved names stay unknown.
+  return d != nullptr ? class_of_spec(d->type) : TypeGuess{};
 }
 
 bool types_match(const TypeGuess& actual, const TypeGuess& dummy) {
@@ -384,45 +380,28 @@ class CallChecker {
     for (std::size_t s = 0; s < ma_.subs.size(); ++s) {
       sp_ = &ma_.module->subprograms[s];
       vars_ = &ma_.subs[s].vars;
-      for (const auto& st : sp_->body) walk_stmt(*st);
+      lang::walk_stmts(
+          sp_->body,
+          [this](const Stmt& st) {
+            if (st.kind == StmtKind::kAssign) {
+              walk_expr(st.lhs.get());
+              walk_expr(st.rhs.get());
+            } else if (st.kind == StmtKind::kCall) {
+              // Builtins and unresolved names: the builder skips them too.
+              const RefBinding b = lang::classify_call(syms_, st.callee);
+              if (b.kind == RefKind::kProcedure) {
+                check_candidates(st.callee, st.args, *b.procs,
+                                 /*functions_only=*/false, st.line, st.column,
+                                 st.end_line);
+              }
+              for (const auto& a : st.args) walk_expr(a.get());
+            }
+          },
+          [this](const Expr* e) { walk_expr(e); });
     }
   }
 
  private:
-  void walk_stmt(const Stmt& s) {
-    switch (s.kind) {
-      case StmtKind::kAssign:
-        walk_expr(s.lhs.get());
-        walk_expr(s.rhs.get());
-        break;
-      case StmtKind::kCall:
-        check_call(s);
-        for (const auto& a : s.args) walk_expr(a.get());
-        break;
-      case StmtKind::kIf:
-        walk_expr(s.cond.get());
-        for (const auto& st : s.body) walk_stmt(*st);
-        for (const auto& ei : s.elseifs) {
-          walk_expr(ei.cond.get());
-          for (const auto& st : ei.body) walk_stmt(*st);
-        }
-        for (const auto& st : s.else_body) walk_stmt(*st);
-        break;
-      case StmtKind::kDo:
-        walk_expr(s.from.get());
-        walk_expr(s.to.get());
-        walk_expr(s.step.get());
-        for (const auto& st : s.body) walk_stmt(*st);
-        break;
-      case StmtKind::kDoWhile:
-        walk_expr(s.cond.get());
-        for (const auto& st : s.body) walk_stmt(*st);
-        break;
-      default:
-        break;
-    }
-  }
-
   void walk_expr(const Expr* e) {
     if (e == nullptr) return;
     if (e->kind == ExprKind::kUnary || e->kind == ExprKind::kBinary) {
@@ -431,27 +410,16 @@ class CallChecker {
       return;
     }
     if (e->kind != ExprKind::kRef) return;
-    if (e->is_call_or_index() && vars_->lookup(e->base_name()) < 0 &&
-        syms_->vars.find(e->base_name()) == syms_->vars.end()) {
-      auto pit = syms_->procs.find(e->base_name());
-      if (pit != syms_->procs.end()) {
-        check_candidates(e->base_name(), e->segments[0].args, pit->second,
-                         /*functions_only=*/true, e->line, e->column,
-                         e->end_line);
-      }
+    const RefBinding b = lang::classify_ref(
+        syms_, *e, vars_->lookup(e->base_name()) >= 0);
+    if (b.kind == RefKind::kProcedure) {
+      check_candidates(e->base_name(), e->segments[0].args, *b.procs,
+                       /*functions_only=*/true, e->line, e->column,
+                       e->end_line);
     }
     for (const auto& seg : e->segments) {
       for (const auto& a : seg.args) walk_expr(a.get());
     }
-  }
-
-  void check_call(const Stmt& s) {
-    // Builtins with dedicated graph semantics are not user procedures.
-    if (s.callee == "outfld" || s.callee == "shr_rand_uniform") return;
-    auto pit = syms_->procs.find(s.callee);
-    if (pit == syms_->procs.end()) return;  // unresolved: builder skips too
-    check_candidates(s.callee, s.args, pit->second, /*functions_only=*/false,
-                     s.line, s.column, s.end_line);
   }
 
   void check_candidates(const std::string& name,
@@ -573,59 +541,36 @@ class ReadOnlyGlobalChecker {
     for (std::size_t s = 0; s < ma_.subs.size(); ++s) {
       sp_ = &ma_.module->subprograms[s];
       vars_ = &ma_.subs[s].vars;
-      for (const auto& st : sp_->body) walk_stmt(*st);
+      lang::walk_stmts(
+          sp_->body, [this](const Stmt& st) { visit(st); },
+          [this](const Expr* e) { walk_expr(e); });
     }
   }
 
  private:
   // The declaration behind a module-variable name, when it is a parameter.
-  const VarDecl* read_only_decl(const std::string& base) const {
-    if (vars_->lookup(base) >= 0) return nullptr;  // shadowed by a local
-    auto vit = syms_->vars.find(base);
-    if (vit == syms_->vars.end()) return nullptr;
-    const VarDecl* d = vit->second.first->find_decl(vit->second.second);
+  const VarDecl* read_only_decl(const Expr& e) const {
+    const RefBinding b =
+        lang::classify_ref(syms_, e, vars_->lookup(e.base_name()) >= 0);
+    if (b.kind != RefKind::kModuleVar) return nullptr;
+    const VarDecl* d = b.var->first->find_decl(b.var->second);
     return d != nullptr && d->is_parameter ? d : nullptr;
   }
 
-  void walk_stmt(const Stmt& s) {
-    switch (s.kind) {
-      case StmtKind::kAssign: {
-        const std::string& base = s.lhs->base_name();
-        if (read_only_decl(base) != nullptr) {
-          out_->push_back(make_diag(
-              "write-to-read-only-global", Severity::kError, ma_, *sp_, base,
-              strfmt("assignment to read-only module variable '%s'",
-                     base.c_str()),
-              s.line, s.column, s.end_line));
-        }
-        walk_expr(s.rhs.get());
-        break;
+  void visit(const Stmt& s) {
+    if (s.kind == StmtKind::kAssign) {
+      const std::string& base = s.lhs->base_name();
+      if (read_only_decl(*s.lhs) != nullptr) {
+        out_->push_back(make_diag(
+            "write-to-read-only-global", Severity::kError, ma_, *sp_, base,
+            strfmt("assignment to read-only module variable '%s'",
+                   base.c_str()),
+            s.line, s.column, s.end_line));
       }
-      case StmtKind::kCall:
-        check_args(s.callee, s.args, /*function_context=*/false, s.line,
-                   s.column, s.end_line);
-        break;
-      case StmtKind::kIf:
-        walk_expr(s.cond.get());
-        for (const auto& st : s.body) walk_stmt(*st);
-        for (const auto& ei : s.elseifs) {
-          walk_expr(ei.cond.get());
-          for (const auto& st : ei.body) walk_stmt(*st);
-        }
-        for (const auto& st : s.else_body) walk_stmt(*st);
-        break;
-      case StmtKind::kDo:
-        walk_expr(s.from.get());
-        walk_expr(s.to.get());
-        walk_expr(s.step.get());
-        for (const auto& st : s.body) walk_stmt(*st);
-        break;
-      case StmtKind::kDoWhile:
-        walk_expr(s.cond.get());
-        for (const auto& st : s.body) walk_stmt(*st);
-        break;
-      default:
-        break;
+      walk_expr(s.rhs.get());
+    } else if (s.kind == StmtKind::kCall) {
+      check_args(s.callee, s.args, /*function_context=*/false, s.line,
+                 s.column, s.end_line);
     }
   }
 
@@ -637,11 +582,10 @@ class ReadOnlyGlobalChecker {
       return;
     }
     if (e->kind != ExprKind::kRef) return;
-    const std::string& base = e->base_name();
-    if (e->is_call_or_index() && vars_->lookup(base) < 0 &&
-        syms_->vars.find(base) == syms_->vars.end()) {
-      check_args(base, e->segments[0].args, /*function_context=*/true, e->line,
-                 e->column, e->end_line);
+    if (lang::classify_ref(syms_, *e, vars_->lookup(e->base_name()) >= 0)
+            .kind == RefKind::kProcedure) {
+      check_args(e->base_name(), e->segments[0].args,
+                 /*function_context=*/true, e->line, e->column, e->end_line);
       return;
     }
     for (const auto& seg : e->segments) {
@@ -662,7 +606,7 @@ class ReadOnlyGlobalChecker {
       if (a == nullptr || !a->is_ref()) continue;
       const CallArgEffect& ae = eff->args[i];
       if (!ae.may_write && !ae.definitely_writes) continue;
-      if (read_only_decl(a->base_name()) == nullptr) continue;
+      if (read_only_decl(*a) == nullptr) continue;
       out_->push_back(make_diag(
           "write-to-read-only-global", Severity::kWarning, ma_, *sp_,
           a->base_name(),
@@ -696,7 +640,7 @@ void pass_fp_sensitivity(const ModuleAnalysis& ma, const ProgramSymbols& symbols
                          const PassContext& ctx,
                          std::vector<Diagnostic>* out) {
   const ProgramSymbols::ModuleSyms* syms = symbols.module(ma.module->name);
-  const FpCallOracle oracle = summary_fp_oracle(syms, ctx.summaries);
+  const FpCallOracle oracle = summary_fp_oracle(ctx.summaries);
   for (std::size_t s = 0; s < ma.subs.size(); ++s) {
     const Subprogram& sp = ma.module->subprograms[s];
     for (const FpSite& site : find_fp_sites(sp, syms, oracle)) {
@@ -814,8 +758,7 @@ AnalysisResult PassManager::run(const std::vector<const Module*>& modules,
       ModuleAnalysis ma;
       ma.module = m;
       DataflowContext ctx;
-      const ProgramSymbols::ModuleSyms* syms = symbols.module(m->name);
-      if (syms != nullptr) ctx.module_vars = &syms->vars;
+      ctx.syms = symbols.module(m->name);
       PassContext pctx;
       if (summaries != nullptr) {
         pctx.summaries = summaries.get();

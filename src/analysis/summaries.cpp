@@ -6,7 +6,6 @@
 
 #include "analysis/fpsense.hpp"
 #include "fault/fault.hpp"
-#include "interp/intrinsics.hpp"
 #include "lang/printer.hpp"
 #include "support/hash.hpp"
 
@@ -18,16 +17,14 @@ using lang::Intent;
 using lang::Module;
 using lang::ProcRef;
 using lang::ProgramSymbols;
+using lang::RefBinding;
+using lang::RefKind;
 using lang::Stmt;
 using lang::StmtKind;
 using lang::Subprogram;
 using lang::TypeKind;
 
 namespace {
-
-bool is_builtin(const std::string& name) {
-  return name == "outfld" || name == "shr_rand_uniform";
-}
 
 std::uint64_t pack_flags(const ProcSummary& p) {
   std::uint64_t f = 0;
@@ -53,31 +50,16 @@ std::string baseline_key(const std::string& module, const std::string& name) {
   return module + '\x1f' + name;
 }
 
-/// Candidates a call site can dispatch to: context- and arity-filtered.
-std::vector<const Subprogram*> dispatch_candidates(
-    const ProgramSymbols::ModuleSyms* syms, const std::string& name,
-    std::size_t nargs, bool function_context) {
-  std::vector<const Subprogram*> out;
-  if (syms == nullptr || is_builtin(name)) return out;
-  auto pit = syms->procs.find(name);
-  if (pit == syms->procs.end()) return out;
-  for (const ProcRef& c : pit->second) {
-    if (c.sp->is_function() != function_context) continue;
-    if (c.sp->params.size() != nargs) continue;
-    out.push_back(c.sp);
-  }
-  return out;
-}
-
-/// Merges candidate summaries into one sound per-argument effect.
-/// Nullopt when any candidate is missing, not yet computed, or recursive.
+/// Merges the summaries of the candidates `name` binds into one sound
+/// per-argument effect. Nullopt when nothing binds (builtins included) or
+/// any candidate is missing, not yet computed, or recursive.
 std::optional<CallEffect> merge_effects(
     const ProgramSymbols::ModuleSyms* syms, const CallGraph& cg,
     const std::vector<ProcSummary>& procs, const std::vector<char>* computed,
     const std::string& name, std::size_t nargs, bool function_context) {
-  const std::vector<const Subprogram*> cands =
-      dispatch_candidates(syms, name, nargs, function_context);
-  if (cands.empty()) return std::nullopt;
+  const RefBinding callee = lang::classify_call(syms, name);
+  if (callee.kind != RefKind::kProcedure) return std::nullopt;
+  bool any = false;
   CallEffect eff;
   eff.args.resize(nargs);
   for (CallArgEffect& a : eff.args) {
@@ -86,8 +68,10 @@ std::optional<CallEffect> merge_effects(
     a.may_write = false;
     a.definitely_writes = true;
   }
-  for (const Subprogram* sp : cands) {
-    const int idx = cg.index_of(sp);
+  for (const ProcRef& c : *callee.procs) {
+    if (!lang::binds_call(*c.sp, nargs, function_context)) continue;
+    any = true;
+    const int idx = cg.index_of(c.sp);
     if (idx < 0) return std::nullopt;
     if (computed != nullptr && !(*computed)[static_cast<std::size_t>(idx)]) {
       return std::nullopt;
@@ -103,6 +87,7 @@ std::optional<CallEffect> merge_effects(
       a.definitely_writes &= d.definitely_writes;
     }
   }
+  if (!any) return std::nullopt;
   return eff;
 }
 
@@ -204,8 +189,8 @@ std::vector<Bits> forward_must_write(const DataflowResult& flow) {
   return out;
 }
 
-std::string qualify(const Module* owner, const std::string& remote) {
-  return owner->name + "::" + remote;
+std::string qualify(const lang::VarBinding& v) {
+  return v.first->name + "::" + v.second;
 }
 
 /// Walks one subprogram's statements collecting transitive global effects,
@@ -216,7 +201,9 @@ class GlobalsWalker {
                 const CallGraph& cg, const std::vector<ProcSummary>& procs,
                 const std::vector<char>* computed)
       : syms_(syms), cg_(cg), procs_(procs), computed_(computed), vars_(sp) {
-    for (const auto& st : sp.body) walk_stmt(*st);
+    lang::walk_stmts(
+        sp.body, [this](const Stmt& s) { visit(s); },
+        [this](const Expr* e) { read_expr(e); });
   }
 
   std::set<std::string> reads;
@@ -227,50 +214,24 @@ class GlobalsWalker {
   bool callee_fp = false;
 
  private:
-  void walk_stmt(const Stmt& s) {
-    switch (s.kind) {
-      case StmtKind::kAssign: {
-        read_expr(s.rhs.get());
-        const Expr& lhs = *s.lhs;
-        for (const auto& seg : lhs.segments) {
-          for (const auto& a : seg.args) read_expr(a.get());
-        }
-        if (vars_.lookup(lhs.base_name()) < 0 && syms_ != nullptr) {
-          auto it = syms_->vars.find(lhs.base_name());
-          if (it != syms_->vars.end()) {
-            writes.insert(qualify(it->second.first, it->second.second));
-            // A partial store flows the old value through: a read too.
-            if (lhs.segments.size() > 1 || lhs.segments[0].has_args) {
-              reads.insert(qualify(it->second.first, it->second.second));
-            }
-          }
-        }
-        break;
-      }
-      case StmtKind::kCall:
-        apply_call(s.callee, s.args, /*function_context=*/false);
-        break;
-      case StmtKind::kIf:
-        read_expr(s.cond.get());
-        for (const auto& st : s.body) walk_stmt(*st);
-        for (const auto& ei : s.elseifs) {
-          read_expr(ei.cond.get());
-          for (const auto& st : ei.body) walk_stmt(*st);
-        }
-        for (const auto& st : s.else_body) walk_stmt(*st);
-        break;
-      case StmtKind::kDo:
-        read_expr(s.from.get());
-        read_expr(s.to.get());
-        read_expr(s.step.get());
-        for (const auto& st : s.body) walk_stmt(*st);
-        break;
-      case StmtKind::kDoWhile:
-        read_expr(s.cond.get());
-        for (const auto& st : s.body) walk_stmt(*st);
-        break;
-      default:
-        break;
+  void visit(const Stmt& s) {
+    if (s.kind == StmtKind::kCall) {
+      apply_call(lang::classify_call(syms_, s.callee), s.args,
+                 /*function_context=*/false);
+      return;
+    }
+    if (s.kind != StmtKind::kAssign) return;
+    read_expr(s.rhs.get());
+    const Expr& lhs = *s.lhs;
+    for (const auto& seg : lhs.segments) {
+      for (const auto& a : seg.args) read_expr(a.get());
+    }
+    const RefBinding b = classify(lhs);
+    if (b.kind == RefKind::kModuleVar) {
+      const std::string q = qualify(*b.var);
+      writes.insert(q);
+      // A partial store flows the old value through: a read too.
+      if (lhs.segments.size() > 1 || lhs.segments[0].has_args) reads.insert(q);
     }
   }
 
@@ -282,25 +243,10 @@ class GlobalsWalker {
       return;
     }
     if (e->kind != ExprKind::kRef) return;
-    const std::string& base = e->base_name();
-    if (vars_.lookup(base) >= 0) {
-      for (const auto& seg : e->segments) {
-        for (const auto& a : seg.args) read_expr(a.get());
-      }
-      return;
-    }
-    if (syms_ != nullptr) {
-      auto vit = syms_->vars.find(base);
-      if (vit != syms_->vars.end()) {
-        reads.insert(qualify(vit->second.first, vit->second.second));
-        for (const auto& seg : e->segments) {
-          for (const auto& a : seg.args) read_expr(a.get());
-        }
-        return;
-      }
-    }
-    if (e->is_call_or_index() && !interp::is_intrinsic_function(base)) {
-      apply_call(base, e->segments[0].args, /*function_context=*/true);
+    const RefBinding b = classify(*e);
+    if (b.kind == RefKind::kModuleVar) reads.insert(qualify(*b.var));
+    if (b.is_call()) {
+      apply_call(b, e->segments[0].args, /*function_context=*/true);
       return;
     }
     for (const auto& seg : e->segments) {
@@ -308,76 +254,83 @@ class GlobalsWalker {
     }
   }
 
-  void apply_call(const std::string& name,
+  RefBinding classify(const Expr& e) const {
+    return lang::classify_ref(syms_, e, vars_.lookup(e.base_name()) >= 0);
+  }
+
+  void apply_call(const RefBinding& callee,
                   const std::vector<lang::ExprPtr>& args,
                   bool function_context) {
     for (const auto& a : args) read_expr(a.get());
-    if (is_builtin(name)) {
+    if (callee.kind == RefKind::kBuiltin) {
       impure = true;  // outfld emits, shr_rand_uniform draws state
       return;
     }
-    const std::vector<const Subprogram*> cands =
-        dispatch_candidates(syms_, name, args.size(), function_context);
-    if (cands.empty()) {
-      calls_unknown = true;
-      conservative_module_args(args);
-      return;
-    }
+    bool any_candidate = false;
     bool any_resolved = false;
-    for (const Subprogram* sp : cands) {
-      const int idx = cg_.index_of(sp);
-      if (idx < 0) {
-        calls_unknown = true;
-        continue;
-      }
-      if (computed_ != nullptr &&
-          !(*computed_)[static_cast<std::size_t>(idx)]) {
-        // Same-SCC callee before its first round: contributes nothing yet;
-        // later fixpoint rounds pick its effects up.
-        continue;
-      }
-      const ProcSummary& ps = procs_[static_cast<std::size_t>(idx)];
-      if (ps.recursive) {
-        calls_unknown = true;
-        continue;
-      }
-      any_resolved = true;
-      for (const std::string& g : ps.globals_read) reads.insert(g);
-      for (const std::string& g : ps.globals_written) writes.insert(g);
-      if (!ps.pure) callee_impure = true;
-      if (ps.calls_unknown) calls_unknown = true;
-      if (ps.fp_sensitive) callee_fp = true;
-      // Module variables passed by reference inherit the dummy's effect.
-      if (ps.dummies.size() == args.size()) {
-        for (std::size_t i = 0; i < args.size(); ++i) {
-          const Expr* a = args[i].get();
-          if (a == nullptr || !a->is_ref()) continue;
-          if (vars_.lookup(a->base_name()) >= 0 || syms_ == nullptr) continue;
-          auto vit = syms_->vars.find(a->base_name());
-          if (vit == syms_->vars.end()) continue;
-          const std::string q = qualify(vit->second.first, vit->second.second);
-          const DummySummary& d = ps.dummies[i];
-          if (d.may_read_incoming) reads.insert(q);
-          if (d.may_write || d.definitely_writes) writes.insert(q);
+    if (callee.kind == RefKind::kProcedure) {
+      for (const ProcRef& c : *callee.procs) {
+        if (!lang::binds_call(*c.sp, args.size(), function_context)) continue;
+        any_candidate = true;
+        const int idx = cg_.index_of(c.sp);
+        if (idx < 0) {
+          calls_unknown = true;
+          continue;
         }
+        if (computed_ != nullptr &&
+            !(*computed_)[static_cast<std::size_t>(idx)]) {
+          // Same-SCC callee before its first round: contributes nothing yet;
+          // later fixpoint rounds pick its effects up.
+          continue;
+        }
+        const ProcSummary& ps = procs_[static_cast<std::size_t>(idx)];
+        if (ps.recursive) {
+          calls_unknown = true;
+          continue;
+        }
+        any_resolved = true;
+        apply_summary(ps, args);
       }
     }
+    if (!any_candidate) calls_unknown = true;
     if (!any_resolved) conservative_module_args(args);
+  }
+
+  void apply_summary(const ProcSummary& ps,
+                     const std::vector<lang::ExprPtr>& args) {
+    for (const std::string& g : ps.globals_read) reads.insert(g);
+    for (const std::string& g : ps.globals_written) writes.insert(g);
+    if (!ps.pure) callee_impure = true;
+    if (ps.calls_unknown) calls_unknown = true;
+    if (ps.fp_sensitive) callee_fp = true;
+    // Module variables passed by reference inherit the dummy's effect.
+    if (ps.dummies.size() != args.size()) return;
+    for (std::size_t i = 0; i < args.size(); ++i) {
+      const std::optional<std::string> q = module_var_arg(args[i].get());
+      if (!q) continue;
+      const DummySummary& d = ps.dummies[i];
+      if (d.may_read_incoming) reads.insert(*q);
+      if (d.may_write || d.definitely_writes) writes.insert(*q);
+    }
   }
 
   // Unresolved callee: any module variable passed by reference may be both
   // read and written.
   void conservative_module_args(const std::vector<lang::ExprPtr>& args) {
-    if (syms_ == nullptr) return;
     for (const auto& a : args) {
-      if (a == nullptr || !a->is_ref()) continue;
-      if (vars_.lookup(a->base_name()) >= 0) continue;
-      auto vit = syms_->vars.find(a->base_name());
-      if (vit == syms_->vars.end()) continue;
-      const std::string q = qualify(vit->second.first, vit->second.second);
-      reads.insert(q);
-      writes.insert(q);
+      if (const std::optional<std::string> q = module_var_arg(a.get())) {
+        reads.insert(*q);
+        writes.insert(*q);
+      }
     }
+  }
+
+  // The module variable a by-reference argument passes, qualified.
+  std::optional<std::string> module_var_arg(const Expr* a) const {
+    if (a == nullptr || !a->is_ref()) return std::nullopt;
+    const RefBinding b = classify(*a);
+    if (b.kind != RefKind::kModuleVar) return std::nullopt;
+    return qualify(*b.var);
   }
 
   const ProgramSymbols::ModuleSyms* syms_;
@@ -411,7 +364,7 @@ ProcSummary summarize_one(const CallGraph& cg, std::size_t idx,
   out.returns_real = result_is_real(sp);
 
   DataflowContext ctx;
-  if (syms != nullptr) ctx.module_vars = &syms->vars;
+  ctx.syms = syms;
   ctx.call_effects = [&](const std::string& name, std::size_t nargs,
                          bool function_context) {
     return merge_effects(syms, cg, procs, &computed, name, nargs,
@@ -468,17 +421,10 @@ ProcSummary summarize_one(const CallGraph& cg, std::size_t idx,
   out.pure = out.globals_written.empty() && !gw.impure && !gw.callee_impure &&
              !gw.calls_unknown;
 
-  FpCallOracle oracle = [&](const std::string& name, std::size_t nargs) {
-    const std::vector<const Subprogram*> cands =
-        dispatch_candidates(syms, name, nargs, /*function_context=*/true);
-    for (const Subprogram* c : cands) {
-      const int ci = cg.index_of(c);
-      if (ci >= 0 && procs[static_cast<std::size_t>(ci)].returns_real) {
-        return true;
-      }
-      if (ci < 0 && result_is_real(*c)) return true;
-    }
-    return false;
+  FpCallOracle oracle = [&](const Subprogram& fn) {
+    const int ci = cg.index_of(&fn);
+    return ci >= 0 ? procs[static_cast<std::size_t>(ci)].returns_real
+                   : result_is_real(fn);
   };
   out.fp_sensitive =
       !find_fp_sites(sp, syms, oracle).empty() || gw.callee_fp;

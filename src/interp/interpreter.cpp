@@ -4,7 +4,7 @@
 #include <cmath>
 #include <unordered_map>
 
-#include "interp/intrinsics.hpp"
+#include "lang/symbols.hpp"
 #include "support/strings.hpp"
 
 namespace rca::interp {
@@ -48,17 +48,6 @@ bool CoverageRecorder::subprogram_executed(const std::string& module,
 void CoverageRecorder::clear() {
   modules_.clear();
   subprograms_.clear();
-}
-
-bool is_intrinsic_function(const std::string& name) {
-  static const std::unordered_map<std::string, int> kSet = {
-      {"abs", 0},   {"sqrt", 0},  {"exp", 0},    {"log", 0},  {"log10", 0},
-      {"sin", 0},   {"cos", 0},   {"tan", 0},    {"tanh", 0}, {"min", 0},
-      {"max", 0},   {"mod", 0},   {"sign", 0},   {"floor", 0}, {"nint", 0},
-      {"aint", 0},  {"int", 0},   {"real", 0},   {"sum", 0},  {"minval", 0},
-      {"maxval", 0}, {"size", 0}, {"merge", 0},
-  };
-  return kSet.count(name) != 0;
 }
 
 namespace {
@@ -618,7 +607,7 @@ struct Interpreter::Impl {
         const std::vector<Callable>* cands =
             resolve_callable(frame.module, head.name);
         if (cands) return call_function(*cands, head.args, frame, e.line);
-        if (is_intrinsic_function(head.name)) {
+        if (lang::is_intrinsic_function(head.name)) {
           return call_intrinsic(head.name, head.args, frame, e.line);
         }
       }
@@ -1219,7 +1208,7 @@ Interpreter::Interpreter(std::vector<const Module*> modules)
 
   // Built-in: history-file output. `call outfld('LABEL', value)` records the
   // label (lower-cased) and the global mean of the value.
-  register_builtin("outfld", [this](std::vector<ValueSlot>& args) {
+  register_builtin(lang::kOutfld, [this](std::vector<ValueSlot>& args) {
     if (args.size() != 2 || args[0]->kind != Value::Kind::kChar) {
       throw EvalError("outfld expects (character label, value)");
     }
@@ -1240,7 +1229,7 @@ Interpreter::Interpreter(std::vector<const Module*> modules)
   // Built-in: PRNG fill. `call shr_rand_uniform(x)` fills a scalar or array
   // with uniform deviates from the configured generator (KISS by default;
   // the RAND-MT experiment swaps in the Mersenne Twister).
-  register_builtin("shr_rand_uniform", [this](std::vector<ValueSlot>& args) {
+  register_builtin(lang::kRandUniform, [this](std::vector<ValueSlot>& args) {
     if (args.size() != 1) {
       throw EvalError("shr_rand_uniform expects one argument");
     }

@@ -163,6 +163,44 @@ struct Stmt {
   ExprPtr step;  // may be null (step 1)
 };
 
+/// The one statement walk: visits `body` in source order, handing each
+/// simple statement (assign, call, return, exit, cycle) to `on_stmt` and each
+/// control expression — if/elseif and do-while conditions, do bounds (a
+/// missing step as null) — to `on_expr` just before the body it guards;
+/// if/elseif/else and do bodies are walked recursively. Visitors are
+/// templates, so no call per statement goes through a type-erased function.
+template <typename OnStmt, typename OnExpr>
+void walk_stmts(const std::vector<StmtPtr>& body, OnStmt&& on_stmt,
+                OnExpr&& on_expr) {
+  for (const StmtPtr& st : body) {
+    const Stmt& s = *st;
+    switch (s.kind) {
+      case StmtKind::kIf:
+        on_expr(s.cond.get());
+        walk_stmts(s.body, on_stmt, on_expr);
+        for (const ElseIf& ei : s.elseifs) {
+          on_expr(ei.cond.get());
+          walk_stmts(ei.body, on_stmt, on_expr);
+        }
+        walk_stmts(s.else_body, on_stmt, on_expr);
+        break;
+      case StmtKind::kDo:
+        on_expr(s.from.get());
+        on_expr(s.to.get());
+        on_expr(s.step.get());
+        walk_stmts(s.body, on_stmt, on_expr);
+        break;
+      case StmtKind::kDoWhile:
+        on_expr(s.cond.get());
+        walk_stmts(s.body, on_stmt, on_expr);
+        break;
+      default:
+        on_stmt(s);
+        break;
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Declarations and program structure.
 // ---------------------------------------------------------------------------

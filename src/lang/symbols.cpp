@@ -1,6 +1,7 @@
 #include "lang/symbols.hpp"
 
 #include <algorithm>
+#include <unordered_set>
 
 namespace rca::lang {
 
@@ -81,6 +82,50 @@ const ProgramSymbols::ModuleSyms* ProgramSymbols::module(
     const std::string& name) const {
   auto it = modules_.find(name);
   return it == modules_.end() ? nullptr : &it->second;
+}
+
+bool is_intrinsic_function(const std::string& name) {
+  static const std::unordered_set<std::string> kNames = {
+      "abs",  "sqrt", "exp",  "log",   "log10",  "sin",    "cos",  "tan",
+      "tanh", "min",  "max",  "mod",   "sign",   "floor",  "nint", "aint",
+      "int",  "real", "sum",  "minval", "maxval", "size",  "merge",
+  };
+  return kNames.count(name) != 0;
+}
+
+RefBinding classify_ref(const ProgramSymbols::ModuleSyms* syms, const Expr& e,
+                        bool is_local) {
+  if (is_local) return {RefKind::kLocal, nullptr, nullptr};
+  const std::string& base = e.base_name();
+  if (syms != nullptr) {
+    auto vit = syms->vars.find(base);
+    if (vit != syms->vars.end()) {
+      return {RefKind::kModuleVar, &vit->second, nullptr};
+    }
+  }
+  if (!e.is_call_or_index()) return {};
+  if (syms != nullptr) {
+    auto pit = syms->procs.find(base);
+    if (pit != syms->procs.end()) {
+      return {RefKind::kProcedure, nullptr, &pit->second};
+    }
+  }
+  if (is_intrinsic_function(base)) return {RefKind::kIntrinsic, nullptr, nullptr};
+  return {RefKind::kUnresolved, nullptr, nullptr};
+}
+
+RefBinding classify_call(const ProgramSymbols::ModuleSyms* syms,
+                         const std::string& callee) {
+  if (callee == kOutfld || callee == kRandUniform) {
+    return {RefKind::kBuiltin, nullptr, nullptr};
+  }
+  if (syms != nullptr) {
+    auto pit = syms->procs.find(callee);
+    if (pit != syms->procs.end()) {
+      return {RefKind::kProcedure, nullptr, &pit->second};
+    }
+  }
+  return {RefKind::kUnresolved, nullptr, nullptr};
 }
 
 }  // namespace rca::lang

@@ -1,5 +1,7 @@
-// Program-wide name resolution (paper §4), shared by the metagraph builder
-// and every analysis: each module's local names map to the procedures and
+// Program-wide name resolution (paper §4), shared by the metagraph builder,
+// every analysis and (for intrinsics and builtins) the interpreter.
+//
+// `ProgramSymbols` maps each module's local names to the procedures and
 // module variables they denote. Three layers, in order:
 //   * own entities — the module's subprograms and module variables;
 //   * interface blocks, expanded to ALL their module procedures (the
@@ -7,11 +9,20 @@
 //   * use-imports honoring only-lists and renames, resolved in two rounds so
 //     a re-exported import (`use b` where b does `use c`) resolves one level
 //     deep regardless of module order. Deeper chains are not followed.
+// It reads only interface-level content — declarations, subprogram
+// signatures, interface blocks and use statements — never statement bodies.
 //
-// Reads only interface-level content — declarations, subprogram signatures,
-// interface blocks and use statements — never statement bodies.
+// On top of the table sits the one call-site resolver. `classify_ref` says
+// what a reference denotes at its site, in the order the builder and the
+// interpreter apply: subprogram variable, module variable, then — for the
+// ambiguous `name(...)` form — user procedure, intrinsic, unknown. A user
+// procedure therefore shadows the intrinsic of the same name. `classify_call`
+// does the same for `call` statements, where the builtins `outfld` and
+// `shr_rand_uniform` come first, and `binds_call` is the one arity and
+// function/subroutine filter over the candidates.
 #pragma once
 
+#include <cstddef>
 #include <functional>
 #include <string>
 #include <unordered_map>
@@ -33,10 +44,12 @@ struct ProcRef {
 using SubprogramFilter =
     std::function<bool(const std::string& module, const std::string& sub)>;
 
-/// Local name -> (owning module, remote name) for module variables; own
-/// variables map to themselves.
-using VarBindings =
-    std::unordered_map<std::string, std::pair<const Module*, std::string>>;
+/// (Owning module, remote name) of a module variable.
+using VarBinding = std::pair<const Module*, std::string>;
+
+/// Local name -> binding for module variables; own variables map to
+/// themselves.
+using VarBindings = std::unordered_map<std::string, VarBinding>;
 
 class ProgramSymbols {
  public:
@@ -57,5 +70,58 @@ class ProgramSymbols {
  private:
   std::unordered_map<std::string, ModuleSyms> modules_;
 };
+
+/// Intrinsic functions (abs, min, max, ...): evaluated by the interpreter,
+/// localized to their call site by the builder (§4.2).
+bool is_intrinsic_function(const std::string& name);
+
+/// Host subroutines with dedicated semantics: `call outfld('LABEL', x)`
+/// records history output, `call shr_rand_uniform(x)` fills x from the PRNG.
+inline constexpr const char kOutfld[] = "outfld";
+inline constexpr const char kRandUniform[] = "shr_rand_uniform";
+
+/// What a name denotes at one site.
+enum class RefKind {
+  kLocal,       // dummy, local or result of the enclosing subprogram
+  kModuleVar,   // own or use-imported module variable: `var`
+  kProcedure,   // user procedure candidates, unfiltered: `procs`
+  kIntrinsic,   // intrinsic function (`name(...)` references only)
+  kBuiltin,     // outfld / shr_rand_uniform (`call` statements only)
+  kUnresolved,  // call form nothing visible explains: the analyses assume
+                // an unknown callee, the builder an undeclared array
+  kUnknown,     // any other shape nothing visible explains
+};
+
+struct RefBinding {
+  RefKind kind = RefKind::kUnknown;
+  const VarBinding* var = nullptr;             // kModuleVar
+  const std::vector<ProcRef>* procs = nullptr;  // kProcedure
+
+  /// A call to the analyses: a user procedure or an unresolved callee.
+  bool is_call() const {
+    return kind == RefKind::kProcedure || kind == RefKind::kUnresolved;
+  }
+};
+
+/// Classifies reference chain `e` in module `syms` (null: nothing visible).
+/// `is_local` says whether its base name is a variable of the enclosing
+/// subprogram — each caller keeps its own subprogram table. Only the
+/// single-segment `name(...)` form can be a procedure, an intrinsic or
+/// unresolved; any other shape that is neither local nor module data is
+/// kUnknown.
+RefBinding classify_ref(const ProgramSymbols::ModuleSyms* syms, const Expr& e,
+                        bool is_local);
+
+/// Classifies the callee of a `call` statement: builtin, user procedure,
+/// or unresolved.
+RefBinding classify_call(const ProgramSymbols::ModuleSyms* syms,
+                         const std::string& callee);
+
+/// Can candidate `sp` bind a site with `nargs` arguments? A `name(...)`
+/// reference binds functions, a `call` statement subroutines.
+inline bool binds_call(const Subprogram& sp, std::size_t nargs,
+                       bool function_context) {
+  return sp.is_function() == function_context && sp.params.size() == nargs;
+}
 
 }  // namespace rca::lang

@@ -6,7 +6,6 @@
 
 #include "analysis/dataflow.hpp"
 #include "analysis/summaries.hpp"
-#include "interp/intrinsics.hpp"
 #include "meta/fragment.hpp"
 #include "support/error.hpp"
 #include "support/strings.hpp"
@@ -20,6 +19,8 @@ using lang::ExprKind;
 using lang::Intent;
 using lang::Module;
 using lang::ProcRef;
+using lang::RefBinding;
+using lang::RefKind;
 using lang::Stmt;
 using lang::StmtKind;
 using lang::Subprogram;
@@ -124,19 +125,21 @@ class ModuleWalker {
         if (tables_.summaries != nullptr) {
           // Summary-informed: call sites resolve to callee mod/ref effects,
           // so stores whose only use is feeding a never-read dummy die too.
-          const auto* asyms = tables_.analysis_symbols->module(m.name);
-          if (asyms != nullptr) ctx.module_vars = &asyms->vars;
+          ctx.syms = tables_.analysis_symbols->module(m.name);
           ctx.call_effects = analysis::make_call_effects(
               *tables_.analysis_symbols, *tables_.summaries, m.name);
         }
         dead_stores_ = analysis::dead_store_stmts(sp, ctx);
       }
-      for (const auto& st : sp.body) walk_stmt(*st, scope);
+      // Control expressions contribute no edges (paths may be infeasible).
+      lang::walk_stmts(
+          sp.body, [&](const Stmt& s) { process_stmt(s, scope); },
+          [](const Expr*) {});
       dead_stores_.clear();
     }
   }
 
-  void walk_stmt(const Stmt& s, Scope& scope) {
+  void process_stmt(const Stmt& s, Scope& scope) {
     switch (s.kind) {
       case StmtKind::kAssign:
         // Liveness pruning: a provably dead store contributes nothing the
@@ -163,17 +166,6 @@ class ModuleWalker {
           ++frag_.assignments_failed;
         }
         break;
-      case StmtKind::kIf:
-        for (const auto& st : s.body) walk_stmt(*st, scope);
-        for (const auto& ei : s.elseifs) {
-          for (const auto& st : ei.body) walk_stmt(*st, scope);
-        }
-        for (const auto& st : s.else_body) walk_stmt(*st, scope);
-        break;
-      case StmtKind::kDo:
-      case StmtKind::kDoWhile:
-        for (const auto& st : s.body) walk_stmt(*st, scope);
-        break;
       default:
         break;
     }
@@ -189,34 +181,31 @@ class ModuleWalker {
   }
 
   void process_call(const Stmt& s, Scope& scope) {
-    // Builtins with special graph semantics.
-    if (s.callee == "outfld") {
-      if (s.args.size() == 2 && s.args[0]->kind == ExprKind::kString &&
-          s.args[1]->is_ref()) {
-        const LocalId var = node_for_ref(*s.args[1], scope);
-        add_io_mapping(to_lower(s.args[0]->text), var);
-      }
-      return;
-    }
-    if (s.callee == "shr_rand_uniform") {
-      // PRNG call site: a localized pseudo-source feeding the argument —
-      // the RAND-MT experiment's "bug location" markers.
-      if (s.args.size() == 1 && s.args[0]->is_ref()) {
+    const RefBinding callee = lang::classify_call(syms_, s.callee);
+    if (callee.kind == RefKind::kBuiltin) {
+      // Builtins with special graph semantics: outfld maps an I/O label to
+      // its variable; a PRNG call site is a localized pseudo-source feeding
+      // the argument — the RAND-MT experiment's "bug location" markers.
+      if (s.callee == lang::kOutfld) {
+        if (s.args.size() == 2 && s.args[0]->kind == ExprKind::kString &&
+            s.args[1]->is_ref()) {
+          add_io_mapping(to_lower(s.args[0]->text),
+                         node_for_ref(*s.args[1], scope));
+        }
+      } else if (s.args.size() == 1 && s.args[0]->is_ref()) {
         const LocalId site = intern(
             scope.mod->name, scope.sub ? scope.sub->name : "",
-            strfmt("shr_rand_uniform_%d", s.line), s.line,
+            strfmt("%s_%d", lang::kRandUniform, s.line), s.line,
             /*is_intrinsic=*/false, /*is_prng_site=*/true);
-        const LocalId var = node_for_ref(*s.args[0], scope);
-        add_edge(site, var);
+        add_edge(site, node_for_ref(*s.args[0], scope));
       }
       return;
     }
-
-    const std::vector<ProcRef>* cands = lookup_procs(s.callee);
-    if (!cands) {
+    if (callee.kind != RefKind::kProcedure) {
       throw Error("unresolved subroutine '" + s.callee + "'");
     }
-    for (const ProcRef& cand : *cands) {
+    // A call statement binds every candidate of matching arity.
+    for (const ProcRef& cand : *callee.procs) {
       if (cand.sp->params.size() != s.args.size()) continue;
       bind_arguments(*cand.module, *cand.sp, s.args, scope);
     }
@@ -230,12 +219,10 @@ class ModuleWalker {
       const std::string& param = sp.params[i];
       const LocalId dummy = intern(home.name, sp.name, param, sp.line);
       Intent intent = Intent::kNone;
-      if (opts_.use_intent_info) {
-        for (const auto& d : sp.decls) {
-          if (d.name == param) {
-            intent = d.intent;
-            break;
-          }
+      for (const auto& d : sp.decls) {
+        if (d.name == param) {
+          intent = d.intent;
+          break;
         }
       }
       const bool flows_in = intent != Intent::kOut;
@@ -278,35 +265,22 @@ class ModuleWalker {
         break;
     }
 
+    // Plain variable, array element (atomic: indices ignored), derived-type
+    // chain, function call or intrinsic: classified in the resolver's order,
+    // so locals shadow functions and user functions shadow intrinsics.
+    if (is_slice_ref(e)) return;  // bare ':' markers contribute nothing
+    const RefBinding b = classify(e, scope);
     const lang::RefSegment& head = e.segments.front();
-    if (e.segments.size() > 1 || !head.has_args) {
-      // Plain variable, array element (atomic: indices ignored), or
-      // derived-type chain.
-      if (is_slice_ref(e)) return;  // bare ':' markers contribute nothing
-      out->push_back(node_for_ref(e, scope));
-      return;
-    }
-
-    // Single segment with arguments: variable-with-subscripts, function
-    // call, or intrinsic — disambiguated against the declaration tables and
-    // the global function hash table, in that order (locals shadow
-    // functions).
-    if (is_declared_var(scope, head.name)) {
-      out->push_back(node_for_ref(e, scope));
-      return;
-    }
-    const std::vector<ProcRef>* cands = lookup_procs(head.name);
-    if (cands) {
-      for (const ProcRef& cand : *cands) {
-        if (!cand.sp->is_function()) continue;
-        if (cand.sp->params.size() != head.args.size()) continue;
+    if (b.kind == RefKind::kProcedure) {
+      for (const ProcRef& cand : *b.procs) {
+        if (!lang::binds_call(*cand.sp, head.args.size(), true)) continue;
         bind_arguments(*cand.module, *cand.sp, head.args, scope);
         out->push_back(intern(cand.module->name, cand.sp->name,
                               cand.sp->result_name, cand.sp->line));
       }
       return;
     }
-    if (interp::is_intrinsic_function(head.name)) {
+    if (b.kind == RefKind::kIntrinsic) {
       // Localized intrinsic pseudo-node: inputs -> site -> consumer.
       const LocalId site = intern(
           scope.mod->name, scope.sub ? scope.sub->name : "",
@@ -322,12 +296,13 @@ class ModuleWalker {
       out->push_back(site);
       return;
     }
-    // Unknown name(...): assume an undeclared array (static fallback).
-    out->push_back(node_for_ref(e, scope));
+    // Variables; an unknown name(...) is assumed an undeclared array.
+    out->push_back(node_for(e, b, scope));
   }
 
   bool is_slice_ref(const Expr& e) const {
-    return e.segments.size() == 1 && e.segments[0].name == "__slice__";
+    return e.segments.size() == 1 && !e.segments[0].has_args &&
+           e.segments[0].name == "__slice__";
   }
 
   /// True when evaluating `e` would bind a user function's dummies/result
@@ -347,16 +322,11 @@ class ModuleWalker {
       case ExprKind::kRef:
         break;
     }
-    const lang::RefSegment& head = e.segments.front();
-    if (e.segments.size() == 1 && head.has_args &&
-        !is_declared_var(scope, head.name)) {
-      const std::vector<ProcRef>* cands = lookup_procs(head.name);
-      if (cands) {
-        for (const ProcRef& cand : *cands) {
-          if (cand.sp->is_function() &&
-              cand.sp->params.size() == head.args.size()) {
-            return true;
-          }
+    const RefBinding b = classify(e, scope);
+    if (b.kind == RefKind::kProcedure) {
+      for (const ProcRef& cand : *b.procs) {
+        if (lang::binds_call(*cand.sp, e.segments[0].args.size(), true)) {
+          return true;
         }
       }
     }
@@ -368,36 +338,31 @@ class ModuleWalker {
     return false;
   }
 
-  bool is_declared_var(const Scope& scope, const std::string& name) const {
-    return scope.locals.count(name) != 0 || syms_->vars.count(name) != 0;
-  }
-
-  const std::vector<ProcRef>* lookup_procs(const std::string& name) const {
-    auto it = syms_->procs.find(name);
-    return it == syms_->procs.end() ? nullptr : &it->second;
+  RefBinding classify(const Expr& e, const Scope& scope) const {
+    return lang::classify_ref(syms_, e, scope.locals.count(e.base_name()) != 0);
   }
 
   /// Node for a reference chain: resolves the base name's owning scope and
   /// interns (module, scope, canonical-name).
   LocalId node_for_ref(const Expr& e, Scope& scope) {
     RCA_CHECK_MSG(e.is_ref(), "node_for_ref on non-reference");
-    const std::string& base = e.base_name();
+    return node_for(e, classify(e, scope), scope);
+  }
+
+  LocalId node_for(const Expr& e, const RefBinding& b, Scope& scope) {
     const std::string& canonical = e.canonical_name();
     if (canonical == "__slice__") throw Error("slice marker is not a variable");
 
-    if (scope.sub && scope.locals.count(base)) {
+    if (b.kind == RefKind::kLocal) {
       return intern(scope.mod->name, scope.sub->name, canonical, e.line);
     }
-    auto vit = syms_->vars.find(base);
-    if (vit != syms_->vars.end()) {
+    if (b.kind == RefKind::kModuleVar) {
       // Module-level variable: lives with its owning module, no subprogram
       // scope. Derived chains canonicalize to the final component (the
       // component is one storage location regardless of assigning site).
-      const Module* owner = vit->second.first;
-      const std::string& remote = vit->second.second;
       const std::string& canon =
-          (e.segments.size() > 1) ? canonical : remote;
-      return intern(owner->name, "", canon, e.line);
+          (e.segments.size() > 1) ? canonical : b.var->second;
+      return intern(b.var->first->name, "", canon, e.line);
     }
     // Unresolved: keep it local to the current scope (static fallback —
     // counted as a node so the slice stays sound).

@@ -7,12 +7,19 @@
 // walks every assignment and call statement, adding nodes and edges.
 //
 // Conservative static choices (all from §4):
+//   * `name(...)` resolves through lang::classify_ref in the interpreter's
+//     order: subprogram variable, module variable, user function, intrinsic,
+//     else an undeclared array — so a user procedure shadows the intrinsic
+//     of the same name; `call` statements bind builtins (outfld,
+//     shr_rand_uniform) first, then every candidate of matching arity;
 //   * interface calls map to ALL candidate procedures;
 //   * arrays are atomic — subscripts are ignored;
 //   * pointers are ordinary variables;
 //   * use-imports follow one re-export level, no deeper chains;
 //   * derived-type chains canonicalize to their final component;
 //   * intrinsics are localized per call site;
+//   * dummy-argument edges honor declared intent(in)/intent(out);
+//     unspecified intent maps both directions;
 //   * control flow (if/do) contributes no edges — paths may therefore be
 //     infeasible at runtime, which is what the dynamic phase prunes.
 #pragma once
@@ -31,11 +38,6 @@ class ThreadPool;
 namespace rca::meta {
 
 struct BuilderOptions {
-  /// Dummy-argument edges honor intent(in)/intent(out) when declared;
-  /// unspecified intent maps both directions. Disable to treat every dummy
-  /// as inout (strictly more conservative).
-  bool use_intent_info = true;
-
   /// Coverage predicates (hybrid slicing): modules/subprograms rejected here
   /// are excluded from both the symbol tables and the statement walk, like
   /// the paper's codecov-driven pruning. Null means keep everything.

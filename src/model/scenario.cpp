@@ -130,7 +130,7 @@ std::vector<interp::WatchKey> scenario_planted_sites(
     }
     const lang::ProgramSymbols::ModuleSyms* syms = symbols.module(m->name);
     const analysis::FpCallOracle oracle =
-        analysis::summary_fp_oracle(syms, &summaries);
+        analysis::summary_fp_oracle(&summaries);
     for (const lang::Subprogram& sp : m->subprograms) {
       for (const analysis::FpSite& site :
            analysis::find_fp_sites(sp, syms, oracle)) {

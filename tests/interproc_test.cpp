@@ -543,6 +543,59 @@ end module client
 }
 
 // ---------------------------------------------------------------------------
+// Call-site resolution: a user procedure shadows the intrinsic of its name
+
+TEST(CallSiteResolver, UserFunctionNamedLikeAnIntrinsicBindsInEveryAnalysis) {
+  Parsed p(R"(module shadow_mod
+  real :: g
+contains
+  function max(a, b) result(r)
+    real, intent(in) :: a, b
+    real :: r
+    g = a
+    r = b
+  end function max
+  subroutine caller(x, y, z)
+    real, intent(in) :: x, y
+    real, intent(out) :: z
+    z = max(x, y)
+  end subroutine caller
+end module shadow_mod
+)");
+  const auto mods = p.modules();
+  const ProgramSymbols symbols(mods);
+  const ProgramSummaries s = compute_summaries(mods, symbols);
+  const int caller = s.cg.index_of(&p.sub("shadow_mod", "caller"));
+  const int max = s.cg.index_of(&p.sub("shadow_mod", "max"));
+  ASSERT_GE(caller, 0);
+  ASSERT_GE(max, 0);
+  EXPECT_EQ(s.cg.callees[static_cast<std::size_t>(caller)],
+            std::vector<std::size_t>{static_cast<std::size_t>(max)});
+  EXPECT_FALSE(s.cg.has_unknown_call[static_cast<std::size_t>(caller)]);
+
+  // caller writes g through max, so it is neither pure nor global-free.
+  const ProcSummary& ps = summary_of(s, p, "shadow_mod", "caller");
+  EXPECT_FALSE(ps.pure);
+  EXPECT_EQ(ps.globals_written, std::vector<std::string>{"shadow_mod::g"});
+
+  // The metagraph binds the user function, as it always did: dummy-argument
+  // and result edges, and no localized intrinsic site.
+  const meta::Metagraph mg = meta::build_metagraph(mods);
+  auto has_edge = [&mg](const char* from_sub, const char* from,
+                        const char* to_sub, const char* to) {
+    const graph::NodeId u = mg.find("shadow_mod", from_sub, from);
+    const graph::NodeId v = mg.find("shadow_mod", to_sub, to);
+    return u != graph::kInvalidNode && v != graph::kInvalidNode &&
+           mg.graph().has_edge(u, v);
+  };
+  EXPECT_TRUE(has_edge("caller", "x", "max", "a"));
+  EXPECT_TRUE(has_edge("caller", "y", "max", "b"));
+  EXPECT_TRUE(has_edge("max", "r", "caller", "z"));
+  EXPECT_EQ(mg.node_count(), 7u);
+  EXPECT_EQ(mg.graph().edge_count(), 5u);
+}
+
+// ---------------------------------------------------------------------------
 // Summary-informed metagraph pruning
 
 TEST(SummaryPruning, DropsStoresFeedingNeverReadDummies) {

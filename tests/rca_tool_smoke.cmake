@@ -172,14 +172,20 @@ if(same_rc EQUAL 0)
 endif()
 
 # ---------------------------------------------------------------------------
-# Golden pins: the in-tree golden corpus builds exactly expected.tsv and
-# lints clean to exactly the pinned TSV in each mode.
+# Golden pins: the in-tree golden corpus builds exactly expected.tsv, lints
+# clean to exactly the pinned TSV in each mode, and its interprocedural
+# mod/ref summaries and FP-sensitivity report match the pinned JSON.
 run(graph --src ${GOLDEN} --out golden.tsv)
 expect_same_bytes(golden.tsv ${GOLDEN}/expected.tsv
                   "golden corpus metagraph drifted from tests/golden/expected.tsv")
-run(lint --src ${GOLDEN} --fail-on warn --tsv golden_lint_interproc.tsv)
+run(lint --src ${GOLDEN} --fail-on warn --tsv golden_lint_interproc.tsv
+    --summaries-out golden_summaries.json --fpsense-out golden_fpsense.json)
 expect_same_bytes(golden_lint_interproc.tsv ${GOLDEN}/expected_lint_interproc.tsv
                   "interprocedural lint drifted from expected_lint_interproc.tsv")
+expect_same_bytes(golden_summaries.json ${GOLDEN}/expected_summaries.json
+                  "mod/ref summaries drifted from expected_summaries.json")
+expect_same_bytes(golden_fpsense.json ${GOLDEN}/expected_fpsense.json
+                  "FP-sensitivity report drifted from expected_fpsense.json")
 run(lint --src ${GOLDEN} --fail-on warn --no-interprocedural
     --tsv golden_lint.tsv)
 expect_same_bytes(golden_lint.tsv ${GOLDEN}/expected_lint.tsv
