@@ -71,32 +71,24 @@ bool is_slice_marker(const Expr& e) {
 // ===========================================================================
 
 struct Interpreter::Impl {
-  struct ModuleCtx;
-
-  struct Callable {
-    const Subprogram* sp = nullptr;
-    ModuleCtx* home = nullptr;
-  };
-
-  struct TypeEntry {
-    const lang::DerivedTypeDef* def = nullptr;
-    ModuleCtx* home = nullptr;
-  };
-
-  struct ImportedVar {
-    ModuleCtx* home = nullptr;
-    std::string remote_name;
+  /// A module-level name: an own or use-imported variable or parameter, as
+  /// `lang::ProgramSymbols` binds it. `slot` points at the owning module's
+  /// storage, which stays null until the load evaluates (parameters) or
+  /// allocates (variables) it.
+  struct ScopeVar {
+    const Module* home = nullptr;
+    const ValueSlot* slot = nullptr;
+    bool is_param = false;
   };
 
   struct ModuleCtx {
     const Module* ast = nullptr;
+    const lang::ProgramSymbols::ModuleSyms* syms = nullptr;
     bool fma = false;
     bool reassoc = false;
-    std::unordered_map<std::string, ValueSlot> vars;
-    std::unordered_map<std::string, Value> params;
-    std::unordered_map<std::string, ImportedVar> imported_vars;
-    std::unordered_map<std::string, std::vector<Callable>> callables;
-    std::unordered_map<std::string, TypeEntry> types;
+    std::unordered_map<std::string, ValueSlot> vars;    // own variables
+    std::unordered_map<std::string, ValueSlot> params;  // own parameters
+    std::unordered_map<std::string, ScopeVar> scope;    // every visible one
   };
 
   struct Frame {
@@ -105,102 +97,69 @@ struct Interpreter::Impl {
     std::unordered_map<std::string, ValueSlot> locals;
   };
 
-  explicit Impl(Interpreter* owner) : owner_(owner) {}
+  Impl(Interpreter* owner, const std::vector<const Module*>& modules)
+      : owner_(owner), symbols_(modules) {}
 
   Interpreter* owner_;
-  std::vector<const Module*> module_asts_;
-  std::unordered_map<std::string, std::unique_ptr<ModuleCtx>> modules_;
-  std::unordered_map<std::string, BuiltinSubroutine> builtins_;
+  const lang::ProgramSymbols symbols_;
+  std::unordered_map<const Module*, ModuleCtx> modules_;
   bool any_watches_ = false;
+
+  ModuleCtx& ctx(const Module* m) { return modules_.find(m)->second; }
+
+  /// Module `name` for public entry point `api`; throws for unknown names.
+  ModuleCtx& module_named(const char* api, const std::string& name) {
+    const auto* syms = symbols_.module(name);
+    if (syms == nullptr) {
+      throw EvalError(std::string(api) + ": unknown module '" + name + "'");
+    }
+    return ctx(syms->ast);
+  }
 
   // -------------------------------------------------------------------------
   // Initialization.
   // -------------------------------------------------------------------------
 
-  void load(std::vector<const Module*> mods) {
-    module_asts_ = std::move(mods);
-    // Pass 1: create contexts, register own subprograms/types.
-    for (const Module* m : module_asts_) {
-      if (modules_.count(m->name)) {
-        fail("duplicate module '" + m->name + "'");
-      }
-      auto ctx = std::make_unique<ModuleCtx>();
-      ctx->ast = m;
-      for (const auto& sp : m->subprograms) {
-        ctx->callables[sp.name].push_back(Callable{&sp, ctx.get()});
-      }
-      for (const auto& t : m->types) {
-        ctx->types[t.name] = TypeEntry{&t, ctx.get()};
-      }
-      modules_[m->name] = std::move(ctx);
-    }
-    // Pass 1b: expand interface blocks (after own subprograms exist).
-    for (const Module* m : module_asts_) {
-      ModuleCtx* ctx = modules_[m->name].get();
-      for (const auto& iface : m->interfaces) {
-        for (const auto& proc : iface.procedures) {
-          auto it = ctx->callables.find(proc);
-          if (it == ctx->callables.end()) {
-            fail("interface '" + iface.name + "' names unknown procedure '" +
-                 proc + "' in module " + m->name);
-          }
-          for (const auto& c : it->second) {
-            ctx->callables[iface.name].push_back(c);
-          }
-        }
+  void load(const std::vector<const Module*>& mods) {
+    if (!symbols_.errors().empty()) fail(symbols_.errors().front());
+    for (const Module* m : mods) {
+      ModuleCtx& c = modules_[m];
+      c.ast = m;
+      c.syms = symbols_.module(m->name);
+      for (const auto& d : m->decls) {
+        (d.is_parameter ? c.params : c.vars)[d.name] = nullptr;
       }
     }
-    // Pass 2: resolve use-imports (module-level plus hoisted
-    // subprogram-level uses; chained use is intentionally not followed,
-    // matching the paper's §4.2 treatment).
-    for (const Module* m : module_asts_) {
-      ModuleCtx* ctx = modules_[m->name].get();
-      auto process_use = [this, ctx, m](const lang::UseStmt& use) {
-        auto src_it = modules_.find(use.module);
-        if (src_it == modules_.end()) {
-          fail("module '" + m->name + "' uses unknown module '" + use.module +
-               "'", use.line);
-        }
-        ModuleCtx* src = src_it->second.get();
-        if (use.has_only) {
-          for (const auto& r : use.renames) {
-            import_entity(ctx, src, r.local, r.remote, use.line);
-          }
+    // Module scopes: every name the table binds to a module variable points
+    // at its owner's storage, filled below.
+    for (auto& [m, c] : modules_) {
+      for (const auto& [local, binding] : c.syms->vars) {
+        ModuleCtx& home = ctx(binding.first);
+        auto vit = home.vars.find(binding.second);
+        if (vit != home.vars.end()) {
+          c.scope[local] = ScopeVar{home.ast, &vit->second, false};
         } else {
-          // Import-all: every declaration, subprogram, interface, type.
-          for (const auto& d : src->ast->decls) {
-            import_entity(ctx, src, d.name, d.name, use.line);
-          }
-          for (const auto& sp : src->ast->subprograms) {
-            import_entity(ctx, src, sp.name, sp.name, use.line);
-          }
-          for (const auto& iface : src->ast->interfaces) {
-            import_entity(ctx, src, iface.name, iface.name, use.line);
-          }
-          for (const auto& t : src->ast->types) {
-            import_entity(ctx, src, t.name, t.name, use.line);
-          }
+          c.scope[local] =
+              ScopeVar{home.ast, &home.params.at(binding.second), true};
         }
-      };
-      for (const auto& use : m->uses) process_use(use);
-      for (const auto& sp : m->subprograms) {
-        for (const auto& use : sp.uses) process_use(use);
       }
     }
-    // Pass 3: evaluate parameter constants to a fixpoint (they may reference
+    // Evaluate parameter constants to a fixpoint (they may reference
     // imported parameters that are themselves not yet evaluated).
     for (;;) {
       bool progress = false;
       bool pending = false;
-      for (const Module* m : module_asts_) {
-        ModuleCtx* ctx = modules_[m->name].get();
+      for (const Module* m : mods) {
+        ModuleCtx& c = ctx(m);
         for (const auto& d : m->decls) {
-          if (!d.is_parameter || ctx->params.count(d.name)) continue;
+          if (!d.is_parameter) continue;
+          ValueSlot& slot = c.params.at(d.name);
+          if (slot) continue;
           if (!d.init) fail("parameter '" + d.name + "' lacks a value", d.line);
           Frame f;
-          f.module = ctx;
+          f.module = &c;
           try {
-            ctx->params[d.name] = eval(*d.init, f);
+            slot = std::make_shared<Value>(eval(*d.init, f));
             progress = true;
           } catch (const EvalError&) {
             pending = true;  // dependency not ready yet; retry next round
@@ -210,48 +169,24 @@ struct Interpreter::Impl {
       if (!pending) break;
       if (!progress) fail("circular or unresolvable parameter definitions");
     }
-    // Pass 4: allocate module variables.
-    for (const Module* m : module_asts_) {
-      ModuleCtx* ctx = modules_[m->name].get();
+    // Allocate module variables.
+    for (const Module* m : mods) {
+      ModuleCtx& c = ctx(m);
       Frame f;
-      f.module = ctx;
+      f.module = &c;
       for (const auto& d : m->decls) {
         if (d.is_parameter) continue;
-        ctx->vars[d.name] = std::make_shared<Value>(allocate(d, f));
+        c.vars.at(d.name) = std::make_shared<Value>(allocate(d, f));
       }
     }
-  }
-
-  void import_entity(ModuleCtx* dst, ModuleCtx* src, const std::string& local,
-                     const std::string& remote, int line) {
-    const lang::VarDecl* decl = src->ast->find_decl(remote);
-    if (decl) {
-      // Variables and parameters alike go through the imported_vars
-      // indirection; imported parameters are resolved lazily (pass 3
-      // fixpoint) through it.
-      dst->imported_vars[local] = ImportedVar{src, remote};
-      return;
-    }
-    auto cit = src->callables.find(remote);
-    if (cit != src->callables.end()) {
-      auto& vec = dst->callables[local];
-      vec.insert(vec.end(), cit->second.begin(), cit->second.end());
-      return;
-    }
-    auto tit = src->types.find(remote);
-    if (tit != src->types.end()) {
-      dst->types[local] = tit->second;
-      return;
-    }
-    fail("use of unknown entity '" + remote + "' from module '" +
-         src->ast->name + "'", line);
   }
 
   /// Allocate a value per declaration, evaluating array extents in `frame`.
   Value allocate(const VarDecl& d, Frame& frame) {
     if (d.type.kind == TypeKind::kDerived) {
-      auto tit = frame.module->types.find(d.type.derived_name);
-      if (tit == frame.module->types.end()) {
+      const auto& types = frame.module->syms->types;
+      auto tit = types.find(d.type.derived_name);
+      if (tit == types.end()) {
         fail("unknown derived type '" + d.type.derived_name + "'", d.line);
       }
       Value v;
@@ -259,7 +194,7 @@ struct Interpreter::Impl {
       v.derived = std::make_shared<DerivedValue>();
       v.derived->type_name = d.type.derived_name;
       Frame type_frame;
-      type_frame.module = tit->second.home;
+      type_frame.module = &ctx(tit->second.module);
       for (const auto& comp : tit->second.def->components) {
         v.derived->components[comp.name] =
             std::make_shared<Value>(allocate(comp, type_frame));
@@ -314,43 +249,13 @@ struct Interpreter::Impl {
       if (owner_sub) *owner_sub = frame.sub ? frame.sub->name : "";
       return lit->second;
     }
-    auto mit = frame.module->vars.find(name);
-    if (mit != frame.module->vars.end()) {
-      if (owner_module) *owner_module = frame.module->ast->name;
-      if (owner_sub) owner_sub->clear();
-      return mit->second;
-    }
-    auto iit = frame.module->imported_vars.find(name);
-    if (iit != frame.module->imported_vars.end()) {
-      ModuleCtx* home = iit->second.home;
-      auto hit = home->vars.find(iit->second.remote_name);
-      if (hit != home->vars.end()) {
-        if (owner_module) *owner_module = home->ast->name;
-        if (owner_sub) owner_sub->clear();
-        return hit->second;
-      }
-      // Might be an imported parameter — expose as a temporary slot.
-      auto pit = home->params.find(iit->second.remote_name);
-      if (pit != home->params.end()) {
-        if (owner_module) *owner_module = home->ast->name;
-        if (owner_sub) owner_sub->clear();
-        return std::make_shared<Value>(pit->second);
-      }
-    }
-    auto pit = frame.module->params.find(name);
-    if (pit != frame.module->params.end()) {
-      if (owner_module) *owner_module = frame.module->ast->name;
-      if (owner_sub) owner_sub->clear();
-      return std::make_shared<Value>(pit->second);
-    }
-    return nullptr;
-  }
-
-  const std::vector<Callable>* resolve_callable(ModuleCtx* ctx,
-                                                const std::string& name) {
-    auto it = ctx->callables.find(name);
-    if (it == ctx->callables.end()) return nullptr;
-    return &it->second;
+    auto sit = frame.module->scope.find(name);
+    if (sit == frame.module->scope.end() || !*sit->second.slot) return nullptr;
+    const ScopeVar& v = sit->second;
+    if (owner_module) *owner_module = v.home->name;
+    if (owner_sub) owner_sub->clear();
+    // A parameter reads as a temporary, so no callee can change it.
+    return v.is_param ? std::make_shared<Value>(**v.slot) : *v.slot;
   }
 
   // -------------------------------------------------------------------------
@@ -603,13 +508,15 @@ struct Interpreter::Impl {
         if (!head.has_args) return *slot;
         return index_or_slice(*slot, head.args, frame, e.line);
       }
-      if (head.has_args) {
-        const std::vector<Callable>* cands =
-            resolve_callable(frame.module, head.name);
-        if (cands) return call_function(*cands, head.args, frame, e.line);
-        if (lang::is_intrinsic_function(head.name)) {
-          return call_intrinsic(head.name, head.args, frame, e.line);
-        }
+      const lang::RefBinding b =
+          lang::classify_ref(frame.module->syms, e, /*is_local=*/false);
+      if (b.kind == lang::RefKind::kProcedure) {
+        const lang::ProcRef& c =
+            bind_call(*b.procs, head.args.size(), true, head.name, e.line);
+        return *invoke(c, head.args, frame, e.line);
+      }
+      if (b.kind == lang::RefKind::kIntrinsic) {
+        return call_intrinsic(head.name, head.args, frame, e.line);
       }
       fail("unknown name '" + head.name + "' in module '" +
            frame.module->ast->name + "'", e.line);
@@ -852,51 +759,59 @@ struct Interpreter::Impl {
     const Expr* writeback = nullptr;
   };
 
-  const Callable* pick_overload(const std::vector<Callable>& cands,
-                                std::size_t nargs, int line) {
+  /// The first candidate that binds a site with `nargs` arguments.
+  const lang::ProcRef& bind_call(const std::vector<lang::ProcRef>& cands,
+                                 std::size_t nargs, bool function_context,
+                                 const std::string& name, int line) {
     for (const auto& c : cands) {
-      if (c.sp->params.size() == nargs) return &c;
+      if (lang::binds_call(*c.sp, nargs, function_context)) return c;
     }
-    fail(strfmt("no procedure overload accepts %zu arguments", nargs), line);
+    fail(strfmt("no %s '%s' accepts %zu arguments",
+                function_context ? "function" : "subroutine", name.c_str(),
+                nargs),
+         line);
   }
 
-  Value call_function(const std::vector<Callable>& cands,
-                      const std::vector<lang::ExprPtr>& args, Frame& frame,
-                      int line) {
-    const Callable* c = pick_overload(cands, args.size(), line);
-    if (!c->sp->is_function()) {
-      fail("subroutine '" + c->sp->name + "' used as a function", line);
-    }
-    ValueSlot result = invoke(*c, args, frame, line);
-    return *result;
-  }
-
-  /// Invokes a callable with actual-argument expressions evaluated in
-  /// `caller`. Returns the result slot (function) or empty slot.
-  ValueSlot invoke(const Callable& c, const std::vector<lang::ExprPtr>& args,
-                   Frame& caller, int line) {
-    const Subprogram& sp = *c.sp;
-    Frame frame;
-    frame.module = c.home;
-    frame.sub = &sp;
-
-    owner_->coverage_.record(c.home->ast->name, sp.name);
-
-    // Bind dummies.
+  /// Invokes `c` with actual-argument expressions evaluated in `caller`,
+  /// copying element/slice actuals back out. Returns the result slot
+  /// (function) or an empty slot.
+  ValueSlot invoke(const lang::ProcRef& c,
+                   const std::vector<lang::ExprPtr>& args, Frame& caller,
+                   int line) {
     std::vector<Binding> bindings;
     bindings.reserve(args.size());
-    for (std::size_t i = 0; i < args.size(); ++i) {
-      bindings.push_back(bind_argument(*args[i], caller, line));
-      frame.locals[sp.params[i]] = bindings.back().slot;
+    for (const auto& a : args) {
+      bindings.push_back(bind_argument(*a, caller, line));
+    }
+    ValueSlot result = run(c, bindings);
+    for (const auto& b : bindings) {
+      if (b.writeback) {
+        assign_to_ref(*b.writeback, *b.slot, caller, /*record_watch=*/false);
+      }
+    }
+    return result;
+  }
+
+  /// The one frame setup: binds the dummies to `actuals`, allocates the
+  /// locals and the function result, and runs the body.
+  ValueSlot run(const lang::ProcRef& c, const std::vector<Binding>& actuals) {
+    const Subprogram& sp = *c.sp;
+    Frame frame;
+    frame.module = &ctx(c.module);
+    frame.sub = &sp;
+
+    owner_->coverage_.record(c.module->name, sp.name);
+
+    for (std::size_t i = 0; i < actuals.size(); ++i) {
+      frame.locals[sp.params[i]] = actuals[i].slot;
     }
     // Allocate locals (skip dummies; allocate the function result).
     for (const auto& d : sp.decls) {
       if (frame.locals.count(d.name)) continue;  // dummy argument
       if (d.is_parameter) {
         Frame pf;
-        pf.module = c.home;
-        frame.locals[d.name] = std::make_shared<Value>(Value());
-        *frame.locals[d.name] = eval(*d.init, pf);
+        pf.module = frame.module;
+        frame.locals[d.name] = std::make_shared<Value>(eval(*d.init, pf));
         continue;
       }
       frame.locals[d.name] = std::make_shared<Value>(allocate(d, frame));
@@ -906,17 +821,8 @@ struct Interpreter::Impl {
           std::make_shared<Value>(Value::make_real(0.0));
     }
 
-    // Execute.
     for (const auto& st : sp.body) {
       if (exec(*st, frame) == Flow::kReturn) break;
-    }
-
-    // Copy-out for element/slice actuals.
-    for (std::size_t i = 0; i < bindings.size(); ++i) {
-      if (bindings[i].writeback) {
-        assign_to_ref(*bindings[i].writeback, *bindings[i].slot, caller,
-                      /*record_watch=*/false);
-      }
     }
     if (sp.is_function()) return frame.locals[sp.result_name];
     return {};
@@ -931,10 +837,9 @@ struct Interpreter::Impl {
       const RefSegment& last = actual.segments.back();
       if (!last.has_args) {
         // Whole variable or whole derived component: alias directly.
-        std::string om, os;
         ValueSlot slot;
         if (actual.segments.size() == 1) {
-          slot = resolve_var(caller, actual.base_name(), &om, &os);
+          slot = resolve_var(caller, actual.base_name());
         } else {
           slot = resolve_component_slot(actual, caller);
         }
@@ -1033,32 +938,69 @@ struct Interpreter::Impl {
   }
 
   Flow exec_call(const Stmt& s, Frame& frame) {
-    const std::vector<Callable>* cands =
-        resolve_callable(frame.module, s.callee);
-    if (cands) {
-      invoke(*pick_overload(*cands, s.args.size(), s.line), s.args, frame,
-             s.line);
-      return Flow::kNormal;
-    }
-    auto bit = builtins_.find(s.callee);
-    if (bit != builtins_.end()) {
-      std::vector<ValueSlot> slots;
+    const lang::RefBinding b =
+        lang::classify_call(frame.module->syms, s.callee);
+    if (b.kind == lang::RefKind::kBuiltin) {
       std::vector<Binding> bindings;
-      slots.reserve(s.args.size());
+      bindings.reserve(s.args.size());
       for (const auto& a : s.args) {
         bindings.push_back(bind_argument(*a, frame, s.line));
-        slots.push_back(bindings.back().slot);
       }
-      bit->second(slots);
-      for (auto& b : bindings) {
-        if (b.writeback) {
-          assign_to_ref(*b.writeback, *b.slot, frame, /*record_watch=*/false);
+      if (s.callee == lang::kOutfld) {
+        outfld(bindings);
+      } else {
+        rand_uniform(bindings);
+      }
+      for (const auto& bd : bindings) {
+        if (bd.writeback) {
+          assign_to_ref(*bd.writeback, *bd.slot, frame, /*record_watch=*/false);
         }
       }
       return Flow::kNormal;
     }
+    if (b.kind == lang::RefKind::kProcedure) {
+      invoke(bind_call(*b.procs, s.args.size(), false, s.callee, s.line),
+             s.args, frame, s.line);
+      return Flow::kNormal;
+    }
     fail("unknown subroutine '" + s.callee + "' called from module '" +
          frame.module->ast->name + "'", s.line);
+  }
+
+  /// `call outfld('LABEL', value)`: history-file output. Records the label
+  /// (lower-cased) and the global mean of the value.
+  void outfld(const std::vector<Binding>& args) {
+    if (args.size() != 2 || args[0].slot->kind != Value::Kind::kChar) {
+      throw EvalError("outfld expects (character label, value)");
+    }
+    const Value& v = *args[1].slot;
+    double mean = 0.0;
+    if (v.is_array()) {
+      if (!v.array.empty()) {
+        double s = 0.0;
+        for (double x : v.array) s += x;
+        mean = s / static_cast<double>(v.array.size());
+      }
+    } else {
+      mean = v.as_real();
+    }
+    owner_->outputs_.emplace_back(to_lower(args[0].slot->chars), mean);
+  }
+
+  /// `call shr_rand_uniform(x)`: fills a scalar or array with uniform
+  /// deviates from the configured generator (KISS by default; the RAND-MT
+  /// experiment swaps in the Mersenne Twister).
+  void rand_uniform(const std::vector<Binding>& args) {
+    if (args.size() != 1) {
+      throw EvalError("shr_rand_uniform expects one argument");
+    }
+    Value& v = *args[0].slot;
+    if (v.is_array()) {
+      for (double& x : v.array) x = owner_->prng_->uniform();
+    } else {
+      v.kind = Value::Kind::kReal;
+      v.real = owner_->prng_->uniform();
+    }
   }
 
   // -------------------------------------------------------------------------
@@ -1203,81 +1145,27 @@ struct Interpreter::Impl {
 // ===========================================================================
 
 Interpreter::Interpreter(std::vector<const Module*> modules)
-    : impl_(std::make_unique<Impl>(this)), prng_(std::make_unique<KissRng>()) {
-  impl_->load(std::move(modules));
-
-  // Built-in: history-file output. `call outfld('LABEL', value)` records the
-  // label (lower-cased) and the global mean of the value.
-  register_builtin(lang::kOutfld, [this](std::vector<ValueSlot>& args) {
-    if (args.size() != 2 || args[0]->kind != Value::Kind::kChar) {
-      throw EvalError("outfld expects (character label, value)");
-    }
-    const Value& v = *args[1];
-    double mean = 0.0;
-    if (v.is_array()) {
-      if (!v.array.empty()) {
-        double s = 0.0;
-        for (double x : v.array) s += x;
-        mean = s / static_cast<double>(v.array.size());
-      }
-    } else {
-      mean = v.as_real();
-    }
-    outputs_.emplace_back(to_lower(args[0]->chars), mean);
-  });
-
-  // Built-in: PRNG fill. `call shr_rand_uniform(x)` fills a scalar or array
-  // with uniform deviates from the configured generator (KISS by default;
-  // the RAND-MT experiment swaps in the Mersenne Twister).
-  register_builtin(lang::kRandUniform, [this](std::vector<ValueSlot>& args) {
-    if (args.size() != 1) {
-      throw EvalError("shr_rand_uniform expects one argument");
-    }
-    Value& v = *args[0];
-    if (v.is_array()) {
-      for (double& x : v.array) x = prng_->uniform();
-    } else {
-      v.kind = Value::Kind::kReal;
-      v.real = prng_->uniform();
-    }
-  });
+    : impl_(std::make_unique<Impl>(this, modules)),
+      prng_(std::make_unique<KissRng>()) {
+  impl_->load(modules);
 }
 
 Interpreter::~Interpreter() = default;
 
 void Interpreter::set_fma(const std::string& module, bool enabled) {
-  auto it = impl_->modules_.find(module);
-  if (it == impl_->modules_.end()) {
-    throw EvalError("set_fma: unknown module '" + module + "'");
-  }
-  it->second->fma = enabled;
+  impl_->module_named("set_fma", module).fma = enabled;
 }
 
 void Interpreter::set_fma_all(bool enabled) {
-  for (auto& [name, ctx] : impl_->modules_) {
-    (void)name;
-    ctx->fma = enabled;
-  }
+  for (auto& [m, c] : impl_->modules_) c.fma = enabled;
 }
 
 void Interpreter::set_reassoc(const std::string& module, bool enabled) {
-  auto it = impl_->modules_.find(module);
-  if (it == impl_->modules_.end()) {
-    throw EvalError("set_reassoc: unknown module '" + module + "'");
-  }
-  it->second->reassoc = enabled;
+  impl_->module_named("set_reassoc", module).reassoc = enabled;
 }
 
 void Interpreter::set_reassoc_all(bool enabled) {
-  for (auto& [name, ctx] : impl_->modules_) {
-    (void)name;
-    ctx->reassoc = enabled;
-  }
-}
-
-void Interpreter::register_builtin(const std::string& name,
-                                   BuiltinSubroutine fn) {
-  impl_->builtins_[name] = std::move(fn);
+  for (auto& [m, c] : impl_->modules_) c.reassoc = enabled;
 }
 
 void Interpreter::set_prng(std::unique_ptr<Prng> prng) {
@@ -1297,60 +1185,33 @@ void Interpreter::clear_watches() {
 ValueSlot Interpreter::call(const std::string& module,
                             const std::string& subprogram,
                             std::vector<Value> args) {
-  auto it = impl_->modules_.find(module);
-  if (it == impl_->modules_.end()) {
-    throw EvalError("call: unknown module '" + module + "'");
-  }
-  const auto* cands = impl_->resolve_callable(it->second.get(), subprogram);
-  if (!cands) {
+  const Impl::ModuleCtx& c = impl_->module_named("call", module);
+  auto pit = c.syms->procs.find(subprogram);
+  if (pit == c.syms->procs.end()) {
     throw EvalError("call: unknown subprogram '" + subprogram +
                     "' in module '" + module + "'");
   }
-  // Wrap by-value arguments as literal-expression bindings.
-  std::vector<lang::ExprPtr> arg_exprs;
-  Impl::Frame frame;
-  frame.module = it->second.get();
-  // Bind values through temporary slots directly.
-  const Impl::Callable* c =
-      impl_->pick_overload(*cands, args.size(), 0);
-  Impl::Frame callee;
-  callee.module = c->home;
-  callee.sub = c->sp;
-  coverage_.record(c->home->ast->name, c->sp->name);
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    callee.locals[c->sp->params[i]] =
-        std::make_shared<Value>(std::move(args[i]));
+  auto proc = std::find_if(pit->second.begin(), pit->second.end(),
+                           [&args](const lang::ProcRef& r) {
+                             return r.sp->params.size() == args.size();
+                           });
+  if (proc == pit->second.end()) {
+    throw EvalError(strfmt("no procedure overload accepts %zu arguments",
+                           args.size()));
   }
-  for (const auto& d : c->sp->decls) {
-    if (callee.locals.count(d.name)) continue;
-    if (d.is_parameter) {
-      Impl::Frame pf;
-      pf.module = c->home;
-      callee.locals[d.name] = std::make_shared<Value>(impl_->eval(*d.init, pf));
-      continue;
-    }
-    callee.locals[d.name] =
-        std::make_shared<Value>(impl_->allocate(d, callee));
+  std::vector<Impl::Binding> actuals;
+  actuals.reserve(args.size());
+  for (Value& a : args) {
+    actuals.push_back({std::make_shared<Value>(std::move(a)), nullptr});
   }
-  if (c->sp->is_function() && !callee.locals.count(c->sp->result_name)) {
-    callee.locals[c->sp->result_name] =
-        std::make_shared<Value>(Value::make_real(0.0));
-  }
-  for (const auto& st : c->sp->body) {
-    if (impl_->exec(*st, callee) == Flow::kReturn) break;
-  }
-  if (c->sp->is_function()) return callee.locals[c->sp->result_name];
-  return {};
+  return impl_->run(*proc, actuals);
 }
 
 ValueSlot Interpreter::module_var(const std::string& module,
                                   const std::string& name) {
-  auto it = impl_->modules_.find(module);
-  if (it == impl_->modules_.end()) {
-    throw EvalError("module_var: unknown module '" + module + "'");
-  }
-  auto vit = it->second->vars.find(name);
-  if (vit == it->second->vars.end()) {
+  const Impl::ModuleCtx& c = impl_->module_named("module_var", module);
+  auto vit = c.vars.find(name);
+  if (vit == c.vars.end()) {
     throw EvalError("module_var: unknown variable '" + name + "' in '" +
                     module + "'");
   }

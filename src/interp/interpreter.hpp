@@ -5,6 +5,11 @@
 // runtime sampling, coverage, output statistics and hardware-style (FMA)
 // sensitivity all come from genuinely running the analyzed code.
 //
+// Names resolve through `lang::ProgramSymbols` and the call-site resolver
+// (`lang::classify_ref` / `classify_call` / `binds_call`), the same table and
+// rules the metagraph builder and the analyses use, so a watched variable and
+// the metagraph node it is sampled for are the same binding (§4.2).
+//
 // Key capabilities used by the reproduction:
 //   * per-module FMA contraction mode — `a*b + c` evaluated with std::fma
 //     (single rounding) when enabled, mirroring AVX2/FMA codegen differences
@@ -18,7 +23,6 @@
 //     stand-in, recording per-field global means the ECT consumes.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -86,15 +90,13 @@ class CoverageRecorder {
   std::unordered_set<std::string> subprograms_;
 };
 
-/// Host-provided subroutine (PRNG fill, outfld, ...). Receives argument
-/// slots; may mutate them (pass-by-reference semantics).
-using BuiltinSubroutine = std::function<void(std::vector<ValueSlot>&)>;
-
 class Interpreter {
  public:
-  /// Loads a corpus: registers modules, resolves use-imports, evaluates
+  /// Loads a corpus: builds its `lang::ProgramSymbols` table, evaluates
   /// parameters, and allocates module variables. Module ASTs must outlive
-  /// the interpreter. Throws EvalError on unresolved names.
+  /// the interpreter. Throws EvalError with the table's first error (a
+  /// duplicate module, a dangling interface procedure, a use of an unknown
+  /// module or only-list entity) or on an unresolvable parameter.
   explicit Interpreter(std::vector<const lang::Module*> modules);
   ~Interpreter();
 
@@ -112,9 +114,6 @@ class Interpreter {
   /// -Ofast-style perturbation behind the reassociation scenario).
   void set_reassoc(const std::string& module, bool enabled);
   void set_reassoc_all(bool enabled);
-
-  /// Register/replace a builtin subroutine visible from every module.
-  void register_builtin(const std::string& name, BuiltinSubroutine fn);
 
   /// Install the PRNG backing the built-in `shr_rand_uniform` subroutine.
   void set_prng(std::unique_ptr<Prng> prng);

@@ -3,12 +3,17 @@
 #include <algorithm>
 #include <unordered_set>
 
+#include "support/strings.hpp"
+
 namespace rca::lang {
 
 ProgramSymbols::ProgramSymbols(const std::vector<const Module*>& modules,
                                const SubprogramFilter& keep) {
   for (const Module* m : modules) {
     auto& syms = modules_[m->name];
+    if (syms.ast != nullptr) {
+      errors_.push_back("duplicate module '" + m->name + "'");
+    }
     syms.ast = m;
     for (const auto& sp : m->subprograms) {
       if (keep && !keep(m->name, sp.name)) continue;
@@ -17,35 +22,58 @@ ProgramSymbols::ProgramSymbols(const std::vector<const Module*>& modules,
     for (const auto& d : m->decls) {
       syms.vars[d.name] = {m, d.name};
     }
+    for (const auto& t : m->types) {
+      syms.types[t.name] = TypeRef{m, &t};
+    }
   }
   for (const Module* m : modules) {
     auto& syms = modules_[m->name];
     for (const auto& iface : m->interfaces) {
       for (const auto& proc : iface.procedures) {
         auto it = syms.procs.find(proc);
-        if (it == syms.procs.end()) continue;  // tolerated: dangling interface
+        if (it == syms.procs.end()) {
+          errors_.push_back("interface '" + iface.name +
+                            "' names unknown procedure '" + proc +
+                            "' in module " + m->name);
+          continue;
+        }
         auto& vec = syms.procs[iface.name];
         vec.insert(vec.end(), it->second.begin(), it->second.end());
       }
     }
   }
+  auto error_at = [this](int line, const std::string& msg) {
+    errors_.push_back(line > 0 ? strfmt("line %d: %s", line, msg.c_str())
+                               : msg);
+  };
   // Imports resolve in two rounds against immutable snapshots, so the result
   // is independent of module input order: round one imports each source
   // module's own exports, round two re-imports from the post-round-one
-  // tables, which adds exactly one level of re-exported imports.
+  // tables, which adds exactly one level of re-exported imports. What is
+  // still unresolved in round two is an error.
   auto apply_imports =
-      [this, &modules](
-          const std::unordered_map<std::string, ModuleSyms>& sources) {
+      [this, &modules, &error_at](
+          const std::unordered_map<std::string, ModuleSyms>& sources,
+          bool final_round) {
         for (const Module* m : modules) {
           auto& syms = modules_[m->name];
-          auto process_use = [&syms, &sources](const UseStmt& use) {
+          auto process_use = [&](const UseStmt& use) {
             auto sit = sources.find(use.module);
-            if (sit == sources.end()) return;  // unresolved module: skip
+            if (sit == sources.end()) {
+              if (final_round) {
+                error_at(use.line, "module '" + m->name +
+                                       "' uses unknown module '" +
+                                       use.module + "'");
+              }
+              return;
+            }
             const auto& src = sit->second;
             auto import_one = [&](const std::string& local,
                                   const std::string& remote) {
+              bool found = false;
               auto pit = src.procs.find(remote);
               if (pit != src.procs.end()) {
+                found = true;
                 auto& vec = syms.procs[local];
                 for (const ProcRef& r : pit->second) {
                   const bool present =
@@ -56,7 +84,17 @@ ProgramSymbols::ProgramSymbols(const std::vector<const Module*>& modules,
               }
               auto vit = src.vars.find(remote);
               if (vit != src.vars.end()) {
+                found = true;
                 syms.vars.emplace(local, vit->second);
+              }
+              auto tit = src.types.find(remote);
+              if (tit != src.types.end()) {
+                found = true;
+                syms.types.emplace(local, tit->second);
+              }
+              if (!found && final_round) {
+                error_at(use.line, "use of unknown entity '" + remote +
+                                       "' from module '" + use.module + "'");
               }
             };
             if (use.has_only) {
@@ -64,6 +102,7 @@ ProgramSymbols::ProgramSymbols(const std::vector<const Module*>& modules,
             } else {
               for (const auto& [name, _] : src.procs) import_one(name, name);
               for (const auto& [name, _] : src.vars) import_one(name, name);
+              for (const auto& [name, _] : src.types) import_one(name, name);
             }
           };
           for (const auto& use : m->uses) process_use(use);
@@ -73,9 +112,9 @@ ProgramSymbols::ProgramSymbols(const std::vector<const Module*>& modules,
         }
       };
   const std::unordered_map<std::string, ModuleSyms> own_exports = modules_;
-  apply_imports(own_exports);
+  apply_imports(own_exports, false);
   const std::unordered_map<std::string, ModuleSyms> with_direct = modules_;
-  apply_imports(with_direct);
+  apply_imports(with_direct, true);
 }
 
 const ProgramSymbols::ModuleSyms* ProgramSymbols::module(

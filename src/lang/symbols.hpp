@@ -1,16 +1,20 @@
 // Program-wide name resolution (paper §4), shared by the metagraph builder,
-// every analysis and (for intrinsics and builtins) the interpreter.
+// every analysis and the interpreter.
 //
-// `ProgramSymbols` maps each module's local names to the procedures and
-// module variables they denote. Three layers, in order:
-//   * own entities — the module's subprograms and module variables;
+// `ProgramSymbols` maps each module's local names to the procedures, module
+// variables and derived types they denote. Three layers, in order:
+//   * own entities — the module's subprograms, module variables and types;
 //   * interface blocks, expanded to ALL their module procedures (the
-//     conservative mapping; dangling entries are tolerated);
+//     conservative mapping);
 //   * use-imports honoring only-lists and renames, resolved in two rounds so
 //     a re-exported import (`use b` where b does `use c`) resolves one level
 //     deep regardless of module order. Deeper chains are not followed.
 // It reads only interface-level content — declarations, subprogram
 // signatures, interface blocks and use statements — never statement bodies.
+// What the table cannot resolve (a dangling interface procedure, an unknown
+// used module, a missing only-list entity, a duplicate module) is listed in
+// `errors()`: the builder and the analyses tolerate it, the interpreter
+// refuses to load.
 //
 // On top of the table sits the one call-site resolver. `classify_ref` says
 // what a reference denotes at its site, in the order the builder and the
@@ -51,6 +55,12 @@ using VarBinding = std::pair<const Module*, std::string>;
 /// themselves.
 using VarBindings = std::unordered_map<std::string, VarBinding>;
 
+/// A derived type and the module that defines it.
+struct TypeRef {
+  const Module* module = nullptr;
+  const DerivedTypeDef* def = nullptr;
+};
+
 class ProgramSymbols {
  public:
   explicit ProgramSymbols(const std::vector<const Module*>& modules,
@@ -62,13 +72,21 @@ class ProgramSymbols {
     // imports, honoring only-lists and renames).
     std::unordered_map<std::string, std::vector<ProcRef>> procs;
     VarBindings vars;
+    // Local name -> derived type, by the same own-then-import rules.
+    std::unordered_map<std::string, TypeRef> types;
   };
 
   /// Null if the module is unknown.
   const ModuleSyms* module(const std::string& name) const;
 
+  /// Unresolvable declarations, in walk order, as the interpreter reports
+  /// them; empty for a well-formed program. Checked against the filtered
+  /// table.
+  const std::vector<std::string>& errors() const { return errors_; }
+
  private:
   std::unordered_map<std::string, ModuleSyms> modules_;
+  std::vector<std::string> errors_;
 };
 
 /// Intrinsic functions (abs, min, max, ...): evaluated by the interpreter,

@@ -123,9 +123,21 @@ RunResult CesmModel::run(const RunConfig& config) const {
 }
 
 interp::CoverageRecorder CesmModel::coverage_run(int timesteps) const {
-  RunConfig config;
-  config.timesteps = timesteps;
-  auto interp = make_interpreter(module_ptrs_, config);
+  return driver_coverage(module_ptrs_, timesteps);
+}
+
+interp::CoverageRecorder driver_coverage(
+    const std::vector<const lang::Module*>& modules, int timesteps) {
+  const bool has_driver =
+      std::any_of(modules.begin(), modules.end(), [](const lang::Module* m) {
+        return m->name == "cam_driver" && m->find_subprogram("cam_init") &&
+               m->find_subprogram("cam_step");
+      });
+  if (!has_driver) {
+    throw Error(
+        "coverage needs module 'cam_driver' with cam_init and cam_step");
+  }
+  auto interp = make_interpreter(modules, RunConfig{});
   interp->call("cam_driver", "cam_init");
   for (int step = 0; step < timesteps; ++step) {
     interp->call("cam_driver", "cam_step");

@@ -93,6 +93,12 @@ class CesmModel {
   std::size_t parse_failures_ = 0;
 };
 
+/// Module/subprogram coverage of a short run of the corpus driver:
+/// `cam_driver::cam_init`, then `timesteps` calls of `cam_step`, at the
+/// default RunConfig. Throws Error when the driver is missing.
+interp::CoverageRecorder driver_coverage(
+    const std::vector<const lang::Module*>& modules, int timesteps);
+
 /// Ensemble of `members` control runs; returns rows = members, cols =
 /// variables, and fills `names` with the output labels (sorted).
 stats::Matrix ensemble_matrix(const CesmModel& model, const RunConfig& base,

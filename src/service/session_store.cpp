@@ -10,12 +10,11 @@
 #include "analysis/summaries.hpp"
 #include "cov/coverage_filter.hpp"
 #include "fault/fault.hpp"
-#include "interp/interpreter.hpp"
 #include "meta/builder.hpp"
+#include "model/model.hpp"
 #include "obs/obs.hpp"
 #include "service/front_end.hpp"
 #include "support/error.hpp"
-#include "support/rng.hpp"
 #include "support/thread_pool.hpp"
 
 namespace rca::service {
@@ -302,14 +301,11 @@ std::shared_ptr<Session> SessionStore::build_session_once(
   opts.prune_dead_stores = config.prune_dead_stores;
   opts.summary_informed_pruning = config.summary_informed_pruning;
   if (config.coverage) {
-    // Instrumented short run: requires the corpus driver convention
-    // (cam_driver::cam_init / cam_step), as `rca-tool generate` emits.
-    interp::Interpreter cov_interp(session->modules_);
-    cov_interp.call("cam_driver", "cam_init");
-    for (int s = 0; s < config.coverage_steps; ++s) {
-      cov_interp.call("cam_driver", "cam_step");
-    }
-    const cov::CoverageFilter filter(cov_interp.coverage(), &session->modules_);
+    // Instrumented short run of the corpus driver, as `rca-tool generate`
+    // emits it.
+    const cov::CoverageFilter filter(
+        model::driver_coverage(session->modules_, config.coverage_steps),
+        &session->modules_);
     opts.module_filter = filter.module_predicate();
     opts.subprogram_filter = filter.subprogram_predicate();
     // Coverage filters select nodes by runtime execution, which the

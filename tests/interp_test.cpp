@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <memory>
+#include <string>
 
 #include "interp/interpreter.hpp"
 #include "lang/parser.hpp"
@@ -23,6 +24,23 @@ class InterpTest : public ::testing::Test {
     }
     interp_ = std::make_unique<Interpreter>(std::move(mods));
     return *interp_;
+  }
+
+  /// Loading `source` must throw EvalError whose message contains
+  /// `fragment`.
+  void expect_load_error(const std::string& source,
+                         const std::string& fragment) {
+    EXPECT_THROW(
+        {
+          try {
+            load(source);
+          } catch (const EvalError& e) {
+            EXPECT_NE(std::string(e.what()).find(fragment), std::string::npos)
+                << e.what();
+            throw;
+          }
+        },
+        EvalError);
   }
 
   std::vector<std::unique_ptr<lang::SourceFile>> files_;
@@ -444,6 +462,110 @@ end module
   EXPECT_DOUBLE_EQ(in.outputs()[0].second, 3.0);
   EXPECT_EQ(in.outputs()[1].first, "tref");
   EXPECT_DOUBLE_EQ(in.outputs()[1].second, 300.0);
+}
+
+// `call outfld(...)` is the history-output builtin even where a user
+// subroutine of that name is visible, as in the metagraph builder.
+TEST_F(InterpTest, BuiltinOutfldShadowsUserSubroutine) {
+  auto& in = load(R"(
+module m
+  real :: g
+  real :: x
+contains
+  subroutine outfld(label, v)
+    character(len=8) :: label
+    real :: v
+    g = v
+  end subroutine
+  subroutine go()
+    x = 2.5
+    call outfld('T', x)
+  end subroutine
+end module
+)");
+  in.call("m", "go");
+  ASSERT_EQ(in.outputs().size(), 1u);
+  EXPECT_EQ(in.outputs()[0].first, "t");
+  EXPECT_DOUBLE_EQ(in.outputs()[0].second, 2.5);
+  EXPECT_DOUBLE_EQ(in.module_var("m", "g")->as_real(), 0.0);
+}
+
+// A one-level re-export (c uses f from b, which imports it from a) loads
+// whatever the module order.
+TEST_F(InterpTest, ReExportedImportLoadsInAnyModuleOrder) {
+  auto& in = load(R"(
+module c
+  use b, only: f
+  real :: out
+contains
+  subroutine go()
+    out = f(3.0)
+  end subroutine
+end module
+module b
+  use a
+end module
+module a
+contains
+  function f(x) result(y)
+    real :: x, y
+    y = x + 1.0
+  end function
+end module
+)");
+  in.call("c", "go");
+  EXPECT_DOUBLE_EQ(in.module_var("c", "out")->as_real(), 4.0);
+}
+
+TEST_F(InterpTest, DuplicateModuleFailsToLoad) {
+  expect_load_error(R"(
+module m
+  real :: x
+end module
+module m
+  real :: y
+end module
+)",
+                    "duplicate module 'm'");
+}
+
+TEST_F(InterpTest, DanglingInterfaceProcedureFailsToLoad) {
+  expect_load_error(R"(
+module m
+  interface pick
+    module procedure pick1, missing
+  end interface
+contains
+  function pick1(a) result(x)
+    real :: a, x
+    x = a
+  end function
+end module
+)",
+                    "interface 'pick' names unknown procedure 'missing'");
+}
+
+TEST_F(InterpTest, UseOfUnknownModuleFailsToLoad) {
+  expect_load_error(R"(
+module m
+  use nowhere
+  real :: x
+end module
+)",
+                    "module 'm' uses unknown module 'nowhere'");
+}
+
+TEST_F(InterpTest, UseOfUnknownEntityFailsToLoad) {
+  expect_load_error(R"(
+module a
+  real :: present
+end module
+module m
+  use a, only: absent
+  real :: x
+end module
+)",
+                    "use of unknown entity 'absent' from module 'a'");
 }
 
 TEST_F(InterpTest, PrngBuiltinAndSwap) {

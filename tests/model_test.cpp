@@ -1,13 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <fstream>
 #include <memory>
+#include <sstream>
+#include <string>
 
 #include "cov/coverage_filter.hpp"
 #include "meta/builder.hpp"
 #include "model/corpus.hpp"
 #include "model/experiments.hpp"
 #include "model/model.hpp"
+#include "support/strings.hpp"
 
 namespace rca::model {
 namespace {
@@ -174,6 +178,40 @@ TEST(Model, CoverageMatchesCorpusDesign) {
   EXPECT_LT(stats.subprogram_reduction(), 0.95);
   EXPECT_TRUE(recorder.module_executed("micro_mg"));
   EXPECT_TRUE(recorder.subprogram_executed("micro_mg", "micro_mg_tend"));
+}
+
+// Every run output of the default corpus under the four run configurations
+// the experiments use, and of the GOFFGRATCH corpus, bit for bit (%a).
+TEST(Model, RunOutputsMatchGoldenBytes) {
+  std::string actual;
+  auto add = [&actual](const char* config, const CesmModel& model,
+                       const RunConfig& run) {
+    const RunResult r = model.run(run);
+    for (std::size_t i = 0; i < r.output_names.size(); ++i) {
+      actual += strfmt("%s\t%s\t%a\n", config, r.output_names[i].c_str(),
+                       r.output_means[i]);
+    }
+  };
+  RunConfig fma;
+  fma.fma_all = true;
+  RunConfig reassoc;
+  reassoc.reassoc_all = true;
+  RunConfig mt;
+  mt.prng_kind = "mt19937";
+  add("default", control(), RunConfig{});
+  add("fma_all", control(), fma);
+  add("reassoc_all", control(), reassoc);
+  add("prng_mt19937", control(), mt);
+  CorpusSpec goffgratch;
+  goffgratch.bug = BugId::kGoffGratch;
+  add("goffgratch", CesmModel(goffgratch), RunConfig{});
+
+  std::ifstream in(std::string(RCA_GOLDEN_DIR) + "/expected_run_outputs.tsv",
+                   std::ios::binary);
+  ASSERT_TRUE(in) << "missing expected_run_outputs.tsv";
+  std::ostringstream expected;
+  expected << in.rdbuf();
+  EXPECT_EQ(actual, expected.str());
 }
 
 TEST(Model, EnsembleMatrixShape) {

@@ -191,6 +191,17 @@ run(lint --src ${GOLDEN} --fail-on warn --no-interprocedural
 expect_same_bytes(golden_lint.tsv ${GOLDEN}/expected_lint.tsv
                   "intraprocedural lint drifted from expected_lint.tsv")
 
+# Coverage runs the corpus driver; the golden corpus has none, which is a
+# clear error (exit 1), not an interpreter lookup failure.
+execute_process(COMMAND ${TOOL} graph --src ${GOLDEN} --coverage
+                        --out golden_cov.tsv
+                WORKING_DIRECTORY ${WORKDIR}
+                RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 1 OR NOT err MATCHES
+   "error: coverage needs module 'cam_driver' with cam_init and cam_step")
+  message(FATAL_ERROR "graph --coverage without a driver: rc=${rc}\n${err}")
+endif()
+
 # ---------------------------------------------------------------------------
 # One snapshot directory serves every tool: a session `watch` opens over the
 # corpus `graph` just cached warm-starts from that snapshot, no parse.
