@@ -1,11 +1,11 @@
 #include "analysis/fpsense.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <unordered_map>
 
 #include "analysis/summaries.hpp"
 #include "lang/printer.hpp"
+#include "support/json.hpp"
 
 namespace rca::analysis {
 
@@ -40,18 +40,6 @@ bool is_arithmetic(Op op) {
     default:
       return false;
   }
-}
-
-// Intrinsics that produce real values regardless of argument types.
-bool is_fp_intrinsic(const std::string& name) {
-  static const char* const kNames[] = {
-      "sqrt", "exp",  "log",  "log10", "sin",  "cos",  "tan",
-      "asin", "acos", "atan", "atan2", "sinh", "cosh", "tanh",
-  };
-  for (const char* n : kNames) {
-    if (name == n) return true;
-  }
-  return false;
 }
 
 /// Classifies expressions as floating-point and collects the two site
@@ -151,7 +139,7 @@ class FpScanner {
         return d != nullptr && d->type.kind == TypeKind::kReal;
       }
       case RefKind::kIntrinsic:
-        if (is_fp_intrinsic(e.base_name())) return true;
+        if (b.intrinsic->always_real) return true;
         // abs/max/min/... follow their arguments.
         for (const auto& a : e.segments[0].args) {
           if (a && is_fp(*a)) return true;
@@ -178,25 +166,6 @@ class FpScanner {
   std::unordered_map<std::string, const VarDecl*> decls_;
   std::string target_;
 };
-
-void json_escape(const std::string& s, std::string* out) {
-  for (const char c : s) {
-    switch (c) {
-      case '"': *out += "\\\""; break;
-      case '\\': *out += "\\\\"; break;
-      case '\n': *out += "\\n"; break;
-      case '\t': *out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          *out += buf;
-        } else {
-          *out += c;
-        }
-    }
-  }
-}
 
 }  // namespace
 
@@ -227,38 +196,41 @@ FpCallOracle summary_fp_oracle(const ProgramSummaries* summaries) {
 std::string fpsense_report_json(const std::vector<const Module*>& modules,
                                 const ProgramSymbols& symbols,
                                 const ProgramSummaries& summaries) {
-  std::string out = "{\"schema\":\"rca.fpsense.v1\",\"sites\":[";
-  bool first = true;
+  JsonWriter w;
+  w.begin_object();
+  w.key("schema");
+  w.string_value("rca.fpsense.v1");
+  w.key("sites");
+  w.begin_array();
   for (const Module* m : modules) {
     const ProgramSymbols::ModuleSyms* syms = symbols.module(m->name);
     const FpCallOracle oracle = summary_fp_oracle(&summaries);
     for (const Subprogram& sp : m->subprograms) {
       for (const FpSite& site : find_fp_sites(sp, syms, oracle)) {
-        if (!first) out += ',';
-        first = false;
-        out += "{\"module\":\"";
-        json_escape(m->name, &out);
-        out += "\",\"subprogram\":\"";
-        json_escape(sp.name, &out);
-        out += "\",\"line\":";
-        out += std::to_string(site.expr->line);
-        out += ",\"column\":";
-        out += std::to_string(site.expr->column);
-        out += ",\"kind\":\"";
-        out += fp_site_kind_name(site.kind);
-        out += "\",\"expr\":\"";
-        json_escape(lang::print_expr(*site.expr), &out);
-        out += '"';
+        w.begin_object();
+        w.key("module");
+        w.string_value(m->name);
+        w.key("subprogram");
+        w.string_value(sp.name);
+        w.key("line");
+        w.integer(site.expr->line);
+        w.key("column");
+        w.integer(site.expr->column);
+        w.key("kind");
+        w.string_value(fp_site_kind_name(site.kind));
+        w.key("expr");
+        w.string_value(lang::print_expr(*site.expr));
         if (!site.target.empty()) {
-          out += ",\"target\":\"";
-          json_escape(site.target, &out);
-          out += '"';
+          w.key("target");
+          w.string_value(site.target);
         }
-        out += '}';
+        w.end_object();
       }
     }
   }
-  out += "],\"fp_sensitive_procedures\":[";
+  w.end_array();
+  w.key("fp_sensitive_procedures");
+  w.begin_array();
   std::vector<const ProcSummary*> fp;
   for (const ProcSummary& p : summaries.procs) {
     if (p.fp_sensitive) fp.push_back(&p);
@@ -266,18 +238,17 @@ std::string fpsense_report_json(const std::vector<const Module*>& modules,
   std::sort(fp.begin(), fp.end(), [](const ProcSummary* a, const ProcSummary* b) {
     return a->module != b->module ? a->module < b->module : a->name < b->name;
   });
-  first = true;
   for (const ProcSummary* p : fp) {
-    if (!first) out += ',';
-    first = false;
-    out += "{\"module\":\"";
-    json_escape(p->module, &out);
-    out += "\",\"name\":\"";
-    json_escape(p->name, &out);
-    out += "\"}";
+    w.begin_object();
+    w.key("module");
+    w.string_value(p->module);
+    w.key("name");
+    w.string_value(p->name);
+    w.end_object();
   }
-  out += "]}\n";
-  return out;
+  w.end_array();
+  w.end_object();
+  return w.str() + "\n";
 }
 
 }  // namespace rca::analysis

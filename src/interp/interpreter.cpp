@@ -64,6 +64,25 @@ bool is_slice_marker(const Expr& e) {
   throw EvalError(msg);
 }
 
+/// The real function an elemental intrinsic applies, or null. `abs` keeps
+/// an integer argument integer.
+double (*elemental(lang::Intrinsic id))(double) {
+  using lang::Intrinsic;
+  switch (id) {
+    case Intrinsic::kAbs: return [](double x) { return std::abs(x); };
+    case Intrinsic::kSqrt: return [](double x) { return std::sqrt(x); };
+    case Intrinsic::kExp: return [](double x) { return std::exp(x); };
+    case Intrinsic::kLog: return [](double x) { return std::log(x); };
+    case Intrinsic::kLog10: return [](double x) { return std::log10(x); };
+    case Intrinsic::kSin: return [](double x) { return std::sin(x); };
+    case Intrinsic::kCos: return [](double x) { return std::cos(x); };
+    case Intrinsic::kTan: return [](double x) { return std::tan(x); };
+    case Intrinsic::kTanh: return [](double x) { return std::tanh(x); };
+    case Intrinsic::kAint: return [](double x) { return std::trunc(x); };
+    default: return nullptr;
+  }
+}
+
 }  // namespace
 
 // ===========================================================================
@@ -71,14 +90,25 @@ bool is_slice_marker(const Expr& e) {
 // ===========================================================================
 
 struct Interpreter::Impl {
-  /// A module-level name: an own or use-imported variable or parameter, as
-  /// `lang::ProgramSymbols` binds it. `slot` points at the owning module's
-  /// storage, which stays null until the load evaluates (parameters) or
-  /// allocates (variables) it.
-  struct ScopeVar {
-    const Module* home = nullptr;
-    const ValueSlot* slot = nullptr;
+  /// What a reference denotes: its value slot and the scope that owns it,
+  /// the watch identity of an assignment through it. A module scope maps
+  /// each own or use-imported variable or parameter, as
+  /// `lang::ProgramSymbols` binds it, to its home module's storage, which
+  /// stays null until the load evaluates (parameters) or allocates
+  /// (variables) it.
+  struct VarRef {
+    const ValueSlot* slot = nullptr;  // null: no variable in scope
+    const Module* module = nullptr;
+    const Subprogram* sub = nullptr;  // null for module-level variables
     bool is_param = false;
+
+    explicit operator bool() const { return slot != nullptr; }
+
+    /// The slot to alias: a parameter reads as a temporary, so no callee or
+    /// store can change it.
+    ValueSlot alias() const {
+      return is_param ? std::make_shared<Value>(**slot) : *slot;
+    }
   };
 
   struct ModuleCtx {
@@ -88,7 +118,9 @@ struct Interpreter::Impl {
     bool reassoc = false;
     std::unordered_map<std::string, ValueSlot> vars;    // own variables
     std::unordered_map<std::string, ValueSlot> params;  // own parameters
-    std::unordered_map<std::string, ScopeVar> scope;    // every visible one
+    std::unordered_map<std::string, VarRef> scope;      // every visible one
+    // Per own subprogram: has it run since coverage was last read?
+    std::vector<char> ran;
   };
 
   struct Frame {
@@ -104,8 +136,20 @@ struct Interpreter::Impl {
   const lang::ProgramSymbols symbols_;
   std::unordered_map<const Module*, ModuleCtx> modules_;
   bool any_watches_ = false;
+  // Subprograms in the order they first ran since coverage was last read.
+  std::vector<lang::ProcRef> first_runs_;
 
   ModuleCtx& ctx(const Module* m) { return modules_.find(m)->second; }
+
+  /// Records the subprograms run since the last flush in `coverage`, in
+  /// first-run order: the name sets one `record` per call would give.
+  void flush_coverage(CoverageRecorder& coverage) {
+    for (const lang::ProcRef& c : first_runs_) {
+      coverage.record(c.module->name, c.sp->name);
+      ctx(c.module).ran[c.sp - c.module->subprograms.data()] = 0;
+    }
+    first_runs_.clear();
+  }
 
   /// Module `name` for public entry point `api`; throws for unknown names.
   ModuleCtx& module_named(const char* api, const std::string& name) {
@@ -126,6 +170,7 @@ struct Interpreter::Impl {
       ModuleCtx& c = modules_[m];
       c.ast = m;
       c.syms = symbols_.module(m->name);
+      c.ran.assign(m->subprograms.size(), 0);
       for (const auto& d : m->decls) {
         (d.is_parameter ? c.params : c.vars)[d.name] = nullptr;
       }
@@ -137,10 +182,10 @@ struct Interpreter::Impl {
         ModuleCtx& home = ctx(binding.first);
         auto vit = home.vars.find(binding.second);
         if (vit != home.vars.end()) {
-          c.scope[local] = ScopeVar{home.ast, &vit->second, false};
+          c.scope[local] = VarRef{&vit->second, home.ast, nullptr, false};
         } else {
           c.scope[local] =
-              ScopeVar{home.ast, &home.params.at(binding.second), true};
+              VarRef{&home.params.at(binding.second), home.ast, nullptr, true};
         }
       }
     }
@@ -238,24 +283,51 @@ struct Interpreter::Impl {
   // Name resolution.
   // -------------------------------------------------------------------------
 
-  /// Variable slot for `name` in scope, or nullptr. Sets `owner_module` /
-  /// `owner_sub` to the owning scope for watch identity.
-  ValueSlot resolve_var(Frame& frame, const std::string& name,
-                        std::string* owner_module = nullptr,
-                        std::string* owner_sub = nullptr) {
+  /// Variable `name` in scope: a local of the frame's subprogram, owned by
+  /// it, else a module-level variable or parameter, owned by its home
+  /// module.
+  static VarRef lookup(Frame& frame, const std::string& name) {
     auto lit = frame.locals.find(name);
     if (lit != frame.locals.end()) {
-      if (owner_module) *owner_module = frame.module->ast->name;
-      if (owner_sub) *owner_sub = frame.sub ? frame.sub->name : "";
-      return lit->second;
+      return {&lit->second, frame.module->ast, frame.sub, false};
     }
     auto sit = frame.module->scope.find(name);
-    if (sit == frame.module->scope.end() || !*sit->second.slot) return nullptr;
-    const ScopeVar& v = sit->second;
-    if (owner_module) *owner_module = v.home->name;
-    if (owner_sub) owner_sub->clear();
-    // A parameter reads as a temporary, so no callee can change it.
-    return v.is_param ? std::make_shared<Value>(**v.slot) : *v.slot;
+    if (sit == frame.module->scope.end() || !*sit->second.slot) return {};
+    return sit->second;
+  }
+
+  /// The one reference resolver: the slot reference `e` names, before the
+  /// last segment's subscripts apply. A derived-type chain resolves through
+  /// its components and is owned by the site, the frame's scope; a
+  /// single-segment name that is no variable resolves to nothing.
+  static VarRef resolve(const Expr& e, Frame& frame) {
+    const RefSegment& head = e.segments.front();
+    if (e.segments.size() == 1) return lookup(frame, head.name);
+    if (head.has_args) {
+      fail("indexed derived-type bases are not supported ('" + head.name +
+           "(...)%...')", e.line);
+    }
+    const VarRef base = lookup(frame, head.name);
+    if (!base) fail("unknown name '" + head.name + "'", e.line);
+    const ValueSlot* slot = base.slot;
+    for (std::size_t i = 1; i < e.segments.size(); ++i) {
+      const Value& v = **slot;
+      if (v.kind != Value::Kind::kDerived) {
+        fail("'%" + e.segments[i].name + "' applied to non-derived value",
+             e.line);
+      }
+      auto cit = v.derived->components.find(e.segments[i].name);
+      if (cit == v.derived->components.end()) {
+        fail("derived type '" + v.derived->type_name +
+             "' has no component '" + e.segments[i].name + "'", e.line);
+      }
+      if (i + 1 < e.segments.size() && e.segments[i].has_args) {
+        fail("indexed intermediate derived-type components are not supported",
+             e.line);
+      }
+      slot = &cit->second;
+    }
+    return {slot, frame.module->ast, frame.sub, false};
   }
 
   // -------------------------------------------------------------------------
@@ -306,8 +378,6 @@ struct Interpreter::Impl {
         Value c = eval(*addend, frame);
         // a*b + c ; a*b - c (mul left) ; c + a*b.
         const double sign = (e.op == Op::kSub && mul_on_left) ? -1.0 : 1.0;
-        const double msign = 1.0;
-        (void)msign;
         if (!a.is_array() && !b.is_array() && !c.is_array() &&
             (a.kind == Value::Kind::kReal || b.kind == Value::Kind::kReal ||
              c.kind == Value::Kind::kReal)) {
@@ -500,105 +570,86 @@ struct Interpreter::Impl {
   // Reference evaluation: variable access, array element/slice, derived-type
   // chains, intrinsic calls and user function calls.
   Value eval_ref(const Expr& e, Frame& frame) {
-    const RefSegment& head = e.segments.front();
-
-    if (e.segments.size() == 1) {
-      ValueSlot slot = resolve_var(frame, head.name);
-      if (slot) {
-        if (!head.has_args) return *slot;
-        return index_or_slice(*slot, head.args, frame, e.line);
-      }
-      const lang::RefBinding b =
-          lang::classify_ref(frame.module->syms, e, /*is_local=*/false);
-      if (b.kind == lang::RefKind::kProcedure) {
-        const lang::ProcRef& c =
-            bind_call(*b.procs, head.args.size(), true, head.name, e.line);
-        return *invoke(c, head.args, frame, e.line);
-      }
-      if (b.kind == lang::RefKind::kIntrinsic) {
-        return call_intrinsic(head.name, head.args, frame, e.line);
-      }
-      fail("unknown name '" + head.name + "' in module '" +
-           frame.module->ast->name + "'", e.line);
-    }
-
-    // Derived-type chain: resolve through components.
-    ValueSlot slot = resolve_component_slot(e, frame);
-    const RefSegment& last = e.segments.back();
-    if (!last.has_args) return *slot;
-    return index_or_slice(*slot, last.args, frame, e.line);
+    const VarRef r = resolve(e, frame);
+    return r ? read(r, e, frame) : eval_call(e, frame);
   }
 
-  /// Resolves a multi-segment reference chain down to the final component
-  /// slot (not applying the last segment's indices).
-  ValueSlot resolve_component_slot(const Expr& e, Frame& frame) {
+  /// The value `e` reads through its resolution `r`.
+  Value read(const VarRef& r, const Expr& e, Frame& frame) {
+    const RefSegment& last = e.segments.back();
+    if (!last.has_args) return **r.slot;
+    // Subscripts may call a function that replaces the derived value
+    // holding a component slot: keep the array alive across them.
+    const ValueSlot array = *r.slot;
+    return index_or_slice(*array, last.args, frame, e.line);
+  }
+
+  /// A single-segment reference that names no variable: a user function or
+  /// an intrinsic call.
+  Value eval_call(const Expr& e, Frame& frame) {
     const RefSegment& head = e.segments.front();
-    if (head.has_args) {
-      fail("indexed derived-type bases are not supported ('" + head.name +
-           "(...)%...')", e.line);
+    const lang::RefBinding b =
+        lang::classify_ref(frame.module->syms, e, /*is_local=*/false);
+    if (b.kind == lang::RefKind::kProcedure) {
+      return *call_user(*b.procs, head.args, true, head.name, frame, e.line);
     }
-    ValueSlot slot = resolve_var(frame, head.name);
-    if (!slot) fail("unknown name '" + head.name + "'", e.line);
-    for (std::size_t i = 1; i < e.segments.size(); ++i) {
-      if (slot->kind != Value::Kind::kDerived) {
-        fail("'%" + e.segments[i].name + "' applied to non-derived value",
-             e.line);
-      }
-      auto cit = slot->derived->components.find(e.segments[i].name);
-      if (cit == slot->derived->components.end()) {
-        fail("derived type '" + slot->derived->type_name +
-             "' has no component '" + e.segments[i].name + "'", e.line);
-      }
-      if (i + 1 < e.segments.size() && e.segments[i].has_args) {
-        fail("indexed intermediate derived-type components are not supported",
-             e.line);
-      }
-      slot = cit->second;
+    if (b.kind == lang::RefKind::kIntrinsic) {
+      return call_intrinsic(head.name, *b.intrinsic, head.args, frame, e.line);
     }
-    return slot;
+    fail("unknown name '" + head.name + "' in module '" +
+         frame.module->ast->name + "'", e.line);
+  }
+
+  /// Subscripts `args` evaluated against array `v`: the one walker behind
+  /// gather (`index_or_slice`) and scatter (`store_indexed`). A slice
+  /// marker `:` selects its whole dimension; without one the selection is
+  /// the single element at `subs`.
+  struct Selection {
+    std::vector<long long> subs;           // sliced entries rewritten by at()
+    std::vector<std::size_t> slice_dims;   // empty: one element
+    long long count = 1;                   // elements selected
+
+    bool element() const { return slice_dims.empty(); }
+
+    /// Flat index into `v` of the `i`-th selected element, in row-major
+    /// order over the sliced dimensions.
+    std::size_t at(const Value& v, long long i) {
+      for (std::size_t si = slice_dims.size(); si-- > 0;) {
+        const std::size_t k = slice_dims[si];
+        subs[k] = i % v.dims[k] + 1;
+        i /= v.dims[k];
+      }
+      return v.flat_index(subs);
+    }
+  };
+
+  Selection select(const Value& v, const std::vector<lang::ExprPtr>& args,
+                   Frame& frame, int line) {
+    Selection sel;
+    sel.subs.reserve(args.size());
+    for (std::size_t k = 0; k < args.size(); ++k) {
+      if (is_slice_marker(*args[k])) {
+        sel.slice_dims.push_back(k);
+        sel.subs.push_back(0);
+      } else {
+        sel.subs.push_back(eval(*args[k], frame).as_int());
+      }
+    }
+    if (sel.element()) return sel;
+    if (args.size() != v.dims.size()) fail("rank mismatch in slice", line);
+    for (std::size_t k : sel.slice_dims) sel.count *= v.dims[k];
+    return sel;
   }
 
   Value index_or_slice(const Value& v,
                        const std::vector<lang::ExprPtr>& args, Frame& frame,
                        int line) {
     if (!v.is_array()) fail("subscripts applied to a scalar", line);
-    // Full-slice / mixed-slice gather.
-    bool any_slice = false;
-    for (const auto& a : args) {
-      if (is_slice_marker(*a)) any_slice = true;
-    }
-    if (!any_slice) {
-      std::vector<long long> subs;
-      subs.reserve(args.size());
-      for (const auto& a : args) subs.push_back(eval(*a, frame).as_int());
-      return Value::make_real(v.array[v.flat_index(subs)]);
-    }
-    if (args.size() != v.dims.size()) fail("rank mismatch in slice", line);
-    // Gather over sliced dimensions.
-    std::vector<long long> fixed(args.size(), -1);
-    std::vector<std::size_t> slice_dims;
-    for (std::size_t k = 0; k < args.size(); ++k) {
-      if (is_slice_marker(*args[k])) {
-        slice_dims.push_back(k);
-      } else {
-        fixed[k] = eval(*args[k], frame).as_int();
-      }
-    }
-    long long total = 1;
-    for (std::size_t k : slice_dims) total *= v.dims[k];
-    Value out = Value::make_array({total});
-    std::vector<long long> subs(args.size());
-    for (long long flat = 0; flat < total; ++flat) {
-      long long rem = flat;
-      for (std::size_t si = slice_dims.size(); si-- > 0;) {
-        const std::size_t k = slice_dims[si];
-        subs[k] = rem % v.dims[k] + 1;
-        rem /= v.dims[k];
-      }
-      for (std::size_t k = 0; k < args.size(); ++k) {
-        if (fixed[k] >= 0) subs[k] = fixed[k];
-      }
-      out.array[static_cast<std::size_t>(flat)] = v.array[v.flat_index(subs)];
+    Selection sel = select(v, args, frame, line);
+    if (sel.element()) return Value::make_real(v.array[v.flat_index(sel.subs)]);
+    Value out = Value::make_array({sel.count});
+    for (long long i = 0; i < sel.count; ++i) {
+      out.array[static_cast<std::size_t>(i)] = v.array[sel.at(v, i)];
     }
     return out;
   }
@@ -607,9 +658,10 @@ struct Interpreter::Impl {
   // Intrinsics.
   // -------------------------------------------------------------------------
 
-  Value call_intrinsic(const std::string& name,
+  Value call_intrinsic(const std::string& name, const lang::IntrinsicInfo& fn,
                        const std::vector<lang::ExprPtr>& arg_exprs,
                        Frame& frame, int line) {
+    using lang::Intrinsic;
     std::vector<Value> args;
     args.reserve(arg_exprs.size());
     for (const auto& a : arg_exprs) args.push_back(eval(*a, frame));
@@ -619,132 +671,113 @@ struct Interpreter::Impl {
              line);
       }
     };
-    auto elemental1 = [&](double (*fn)(double)) {
+    if (double (*f)(double) = elemental(fn.id)) {
       need(1);
       if (args[0].is_array()) {
         Value out = args[0];
-        for (double& x : out.array) x = fn(x);
+        for (double& x : out.array) x = f(x);
         return out;
       }
-      return Value::make_real(fn(args[0].as_real()));
-    };
-
-    if (name == "abs") {
-      need(1);
-      if (args[0].is_array()) {
-        Value out = args[0];
-        for (double& x : out.array) x = std::abs(x);
-        return out;
-      }
-      if (args[0].kind == Value::Kind::kInt) {
+      if (fn.id == Intrinsic::kAbs && args[0].kind == Value::Kind::kInt) {
         return Value::make_int(std::llabs(args[0].integer));
       }
-      return Value::make_real(std::abs(args[0].as_real()));
+      return Value::make_real(f(args[0].as_real()));
     }
-    if (name == "sqrt") return elemental1(+[](double x) { return std::sqrt(x); });
-    if (name == "exp") return elemental1(+[](double x) { return std::exp(x); });
-    if (name == "log") return elemental1(+[](double x) { return std::log(x); });
-    if (name == "log10") return elemental1(+[](double x) { return std::log10(x); });
-    if (name == "sin") return elemental1(+[](double x) { return std::sin(x); });
-    if (name == "cos") return elemental1(+[](double x) { return std::cos(x); });
-    if (name == "tan") return elemental1(+[](double x) { return std::tan(x); });
-    if (name == "tanh") return elemental1(+[](double x) { return std::tanh(x); });
-    if (name == "aint") return elemental1(+[](double x) { return std::trunc(x); });
-
-    if (name == "min" || name == "max") {
-      if (args.size() < 2) fail("min/max need at least 2 arguments", line);
-      bool any_array = false;
-      std::size_t n = 0;
-      for (const auto& a : args) {
-        if (a.is_array()) {
-          any_array = true;
-          n = a.array.size();
-        }
-      }
-      const bool is_min = (name == "min");
-      if (!any_array) {
-        bool all_int = true;
-        for (const auto& a : args) all_int &= (a.kind == Value::Kind::kInt);
-        double best = args[0].as_real();
+    switch (fn.id) {
+      case Intrinsic::kMin:
+      case Intrinsic::kMax: {
+        if (args.size() < 2) fail("min/max need at least 2 arguments", line);
+        bool any_array = false;
+        std::size_t n = 0;
         for (const auto& a : args) {
-          best = is_min ? std::min(best, a.as_real())
-                        : std::max(best, a.as_real());
+          if (a.is_array()) {
+            any_array = true;
+            n = a.array.size();
+          }
         }
-        return all_int ? Value::make_int(static_cast<long long>(best))
-                       : Value::make_real(best);
-      }
-      Value out = Value::make_array({static_cast<long long>(n)});
-      for (const auto& a : args) {
-        if (a.is_array()) {
-          out.dims = a.dims;
-          break;
+        const bool is_min = fn.id == Intrinsic::kMin;
+        if (!any_array) {
+          bool all_int = true;
+          for (const auto& a : args) all_int &= (a.kind == Value::Kind::kInt);
+          double best = args[0].as_real();
+          for (const auto& a : args) {
+            best = is_min ? std::min(best, a.as_real())
+                          : std::max(best, a.as_real());
+          }
+          return all_int ? Value::make_int(static_cast<long long>(best))
+                         : Value::make_real(best);
         }
-      }
-      for (std::size_t i = 0; i < n; ++i) {
-        double best = args[0].is_array() ? args[0].array[i] : args[0].as_real();
+        Value out = Value::make_array({static_cast<long long>(n)});
         for (const auto& a : args) {
-          const double x = a.is_array() ? a.array[i] : a.as_real();
-          best = is_min ? std::min(best, x) : std::max(best, x);
+          if (a.is_array()) {
+            out.dims = a.dims;
+            break;
+          }
         }
-        out.array[i] = best;
+        for (std::size_t i = 0; i < n; ++i) {
+          double best =
+              args[0].is_array() ? args[0].array[i] : args[0].as_real();
+          for (const auto& a : args) {
+            const double x = a.is_array() ? a.array[i] : a.as_real();
+            best = is_min ? std::min(best, x) : std::max(best, x);
+          }
+          out.array[i] = best;
+        }
+        return out;
       }
-      return out;
-    }
-    if (name == "mod") {
-      need(2);
-      if (args[0].kind == Value::Kind::kInt &&
-          args[1].kind == Value::Kind::kInt) {
-        if (args[1].integer == 0) fail("mod by zero", line);
-        return Value::make_int(args[0].integer % args[1].integer);
+      case Intrinsic::kMod:
+        need(2);
+        if (args[0].kind == Value::Kind::kInt &&
+            args[1].kind == Value::Kind::kInt) {
+          if (args[1].integer == 0) fail("mod by zero", line);
+          return Value::make_int(args[0].integer % args[1].integer);
+        }
+        return Value::make_real(
+            std::fmod(args[0].as_real(), args[1].as_real()));
+      case Intrinsic::kSign: {
+        need(2);
+        const double mag = std::abs(args[0].as_real());
+        return Value::make_real(args[1].as_real() >= 0.0 ? mag : -mag);
       }
-      return Value::make_real(std::fmod(args[0].as_real(), args[1].as_real()));
-    }
-    if (name == "sign") {
-      need(2);
-      const double mag = std::abs(args[0].as_real());
-      return Value::make_real(args[1].as_real() >= 0.0 ? mag : -mag);
-    }
-    if (name == "floor") {
-      need(1);
-      return Value::make_int(
-          static_cast<long long>(std::floor(args[0].as_real())));
-    }
-    if (name == "nint") {
-      need(1);
-      return Value::make_int(std::llround(args[0].as_real()));
-    }
-    if (name == "int") {
-      need(1);
-      return Value::make_int(args[0].as_int());
-    }
-    if (name == "real") {
-      need(1);
-      return Value::make_real(args[0].as_real());
-    }
-    if (name == "sum") {
-      need(1);
-      if (!args[0].is_array()) return args[0];
-      double s = 0.0;
-      for (double x : args[0].array) s += x;
-      return Value::make_real(s);
-    }
-    if (name == "minval" || name == "maxval") {
-      need(1);
-      if (!args[0].is_array() || args[0].array.empty()) {
-        fail(name + " requires a non-empty array", line);
+      case Intrinsic::kFloor:
+        need(1);
+        return Value::make_int(
+            static_cast<long long>(std::floor(args[0].as_real())));
+      case Intrinsic::kNint:
+        need(1);
+        return Value::make_int(std::llround(args[0].as_real()));
+      case Intrinsic::kInt:
+        need(1);
+        return Value::make_int(args[0].as_int());
+      case Intrinsic::kReal:
+        need(1);
+        return Value::make_real(args[0].as_real());
+      case Intrinsic::kSum: {
+        need(1);
+        if (!args[0].is_array()) return args[0];
+        double s = 0.0;
+        for (double x : args[0].array) s += x;
+        return Value::make_real(s);
       }
-      auto [mn, mx] =
-          std::minmax_element(args[0].array.begin(), args[0].array.end());
-      return Value::make_real(name == "minval" ? *mn : *mx);
-    }
-    if (name == "size") {
-      need(1);
-      if (!args[0].is_array()) return Value::make_int(1);
-      return Value::make_int(static_cast<long long>(args[0].array.size()));
-    }
-    if (name == "merge") {
-      need(3);
-      return args[2].as_logical() ? args[0] : args[1];
+      case Intrinsic::kMinval:
+      case Intrinsic::kMaxval: {
+        need(1);
+        if (!args[0].is_array() || args[0].array.empty()) {
+          fail(name + " requires a non-empty array", line);
+        }
+        auto [mn, mx] =
+            std::minmax_element(args[0].array.begin(), args[0].array.end());
+        return Value::make_real(fn.id == Intrinsic::kMinval ? *mn : *mx);
+      }
+      case Intrinsic::kSize:
+        need(1);
+        if (!args[0].is_array()) return Value::make_int(1);
+        return Value::make_int(static_cast<long long>(args[0].array.size()));
+      case Intrinsic::kMerge:
+        need(3);
+        return args[2].as_logical() ? args[0] : args[1];
+      default:  // the elemental ones, applied above
+        break;
     }
     fail("unknown intrinsic '" + name + "'", line);
   }
@@ -759,31 +792,34 @@ struct Interpreter::Impl {
     const Expr* writeback = nullptr;
   };
 
-  /// The first candidate that binds a site with `nargs` arguments.
-  const lang::ProcRef& bind_call(const std::vector<lang::ProcRef>& cands,
-                                 std::size_t nargs, bool function_context,
-                                 const std::string& name, int line) {
+  /// Calls the first candidate that binds a site with `args`.
+  ValueSlot call_user(const std::vector<lang::ProcRef>& cands,
+                      const std::vector<lang::ExprPtr>& args,
+                      bool function_context, const std::string& name,
+                      Frame& caller, int line) {
     for (const auto& c : cands) {
-      if (lang::binds_call(*c.sp, nargs, function_context)) return c;
+      if (!lang::binds_call(*c.sp, args.size(), function_context)) continue;
+      return invoke(args, caller, [&](const std::vector<Binding>& actuals) {
+        return run(c, actuals);
+      });
     }
     fail(strfmt("no %s '%s' accepts %zu arguments",
                 function_context ? "function" : "subroutine", name.c_str(),
-                nargs),
+                args.size()),
          line);
   }
 
-  /// Invokes `c` with actual-argument expressions evaluated in `caller`,
-  /// copying element/slice actuals back out. Returns the result slot
-  /// (function) or an empty slot.
-  ValueSlot invoke(const lang::ProcRef& c,
-                   const std::vector<lang::ExprPtr>& args, Frame& caller,
-                   int line) {
+  /// The one argument binder, for user procedures and builtins alike: binds
+  /// `args` in `caller`, hands the bindings to `callee`, then copies
+  /// element/slice actuals back out. Returns what `callee` returns: the
+  /// function result slot, else an empty slot.
+  template <typename Callee>
+  ValueSlot invoke(const std::vector<lang::ExprPtr>& args, Frame& caller,
+                   Callee&& callee) {
     std::vector<Binding> bindings;
     bindings.reserve(args.size());
-    for (const auto& a : args) {
-      bindings.push_back(bind_argument(*a, caller, line));
-    }
-    ValueSlot result = run(c, bindings);
+    for (const auto& a : args) bindings.push_back(bind_argument(*a, caller));
+    ValueSlot result = callee(bindings);
     for (const auto& b : bindings) {
       if (b.writeback) {
         assign_to_ref(*b.writeback, *b.slot, caller, /*record_watch=*/false);
@@ -800,7 +836,11 @@ struct Interpreter::Impl {
     frame.module = &ctx(c.module);
     frame.sub = &sp;
 
-    owner_->coverage_.record(c.module->name, sp.name);
+    char& ran = frame.module->ran[&sp - c.module->subprograms.data()];
+    if (!ran) {
+      ran = 1;
+      first_runs_.push_back(c);
+    }
 
     for (std::size_t i = 0; i < actuals.size(); ++i) {
       frame.locals[sp.params[i]] = actuals[i].slot;
@@ -831,32 +871,19 @@ struct Interpreter::Impl {
   /// Fortran-style argument association: whole variables (including derived
   /// components) alias; element/slice/expression actuals get a temp with
   /// copy-out for the writable cases.
-  Binding bind_argument(const Expr& actual, Frame& caller, int line) {
-    (void)line;
-    if (actual.is_ref()) {
-      const RefSegment& last = actual.segments.back();
-      if (!last.has_args) {
-        // Whole variable or whole derived component: alias directly.
-        ValueSlot slot;
-        if (actual.segments.size() == 1) {
-          slot = resolve_var(caller, actual.base_name());
-        } else {
-          slot = resolve_component_slot(actual, caller);
-        }
-        if (slot) return Binding{slot, nullptr};
-        // Fall through: may be a zero-arg function reference — treat as
-        // expression below.
-      } else if (actual.segments.size() > 1 ||
-                 resolve_var(caller, actual.base_name())) {
-        // Array element or slice of a real variable: copy-in/copy-out.
-        Value v = eval(actual, caller);
-        auto slot = std::make_shared<Value>(std::move(v));
-        return Binding{slot, &actual};
-      }
-      // Otherwise `name(...)` is a function call: plain expression binding.
+  Binding bind_argument(const Expr& actual, Frame& caller) {
+    if (!actual.is_ref()) {
+      return Binding{std::make_shared<Value>(eval(actual, caller)), nullptr};
     }
-    Value v = eval(actual, caller);
-    return Binding{std::make_shared<Value>(std::move(v)), nullptr};
+    const VarRef r = resolve(actual, caller);
+    // A name that is no variable is a function reference: an expression.
+    if (!r) {
+      return Binding{std::make_shared<Value>(eval_call(actual, caller)),
+                     nullptr};
+    }
+    if (!actual.segments.back().has_args) return Binding{r.alias(), nullptr};
+    // Array element or slice of a variable: copy-in/copy-out.
+    return Binding{std::make_shared<Value>(read(r, actual, caller)), &actual};
   }
 
   // -------------------------------------------------------------------------
@@ -889,14 +916,9 @@ struct Interpreter::Impl {
         const long long to = eval(*s.to, frame).as_int();
         const long long step = s.step ? eval(*s.step, frame).as_int() : 1;
         if (step == 0) fail("zero do-loop step", s.line);
-        auto it = frame.locals.find(s.do_var);
-        ValueSlot var;
-        if (it != frame.locals.end()) {
-          var = it->second;
-        } else {
-          var = resolve_var(frame, s.do_var);
-          if (!var) fail("undeclared do variable '" + s.do_var + "'", s.line);
-        }
+        const VarRef r = lookup(frame, s.do_var);
+        if (!r) fail("undeclared do variable '" + s.do_var + "'", s.line);
+        const ValueSlot var = r.alias();
         for (long long i = from; step > 0 ? i <= to : i >= to; i += step) {
           *var = Value::make_int(i);
           const Flow f = exec_block(s.body, frame);
@@ -941,26 +963,14 @@ struct Interpreter::Impl {
     const lang::RefBinding b =
         lang::classify_call(frame.module->syms, s.callee);
     if (b.kind == lang::RefKind::kBuiltin) {
-      std::vector<Binding> bindings;
-      bindings.reserve(s.args.size());
-      for (const auto& a : s.args) {
-        bindings.push_back(bind_argument(*a, frame, s.line));
-      }
-      if (s.callee == lang::kOutfld) {
-        outfld(bindings);
-      } else {
-        rand_uniform(bindings);
-      }
-      for (const auto& bd : bindings) {
-        if (bd.writeback) {
-          assign_to_ref(*bd.writeback, *bd.slot, frame, /*record_watch=*/false);
-        }
-      }
+      invoke(s.args, frame, [&](const std::vector<Binding>& args) {
+        s.callee == lang::kOutfld ? outfld(args) : rand_uniform(args);
+        return ValueSlot();
+      });
       return Flow::kNormal;
     }
     if (b.kind == lang::RefKind::kProcedure) {
-      invoke(bind_call(*b.procs, s.args.size(), false, s.callee, s.line),
-             s.args, frame, s.line);
+      call_user(*b.procs, s.args, false, s.callee, frame, s.line);
       return Flow::kNormal;
     }
     fail("unknown subroutine '" + s.callee + "' called from module '" +
@@ -1009,48 +1019,44 @@ struct Interpreter::Impl {
 
   void assign_to_ref(const Expr& lhs, const Value& rhs, Frame& frame,
                      bool record_watch) {
-    std::string owner_module, owner_sub;
-    ValueSlot slot;
-    if (lhs.segments.size() == 1) {
-      slot = resolve_var(frame, lhs.base_name(), &owner_module, &owner_sub);
-      if (!slot) {
-        fail("assignment to unknown variable '" + lhs.base_name() + "'",
-             lhs.line);
-      }
-    } else {
-      slot = resolve_component_slot(lhs, frame);
-      // Derived components are watched at the site of assignment.
-      owner_module = frame.module->ast->name;
-      owner_sub = frame.sub ? frame.sub->name : "";
+    const VarRef r = resolve(lhs, frame);
+    if (!r) {
+      fail("assignment to unknown variable '" + lhs.base_name() + "'",
+           lhs.line);
     }
-
+    // The store holds its own slot: a parameter reads as a temporary, and
+    // subscripts may call a function that replaces the derived value
+    // holding a component slot.
+    const ValueSlot dst = r.alias();
     const RefSegment& last = lhs.segments.back();
     if (!last.has_args) {
-      store_whole(*slot, rhs, lhs.line);
+      store_whole(*dst, rhs, lhs.line);
     } else {
-      store_indexed(*slot, last.args, rhs, frame, lhs.line);
+      store_indexed(*dst, last.args, rhs, frame, lhs.line);
     }
+    if (record_watch && (owner_->record_assignments_ || any_watches_)) {
+      note_assignment(r, lhs.canonical_name(), rhs);
+    }
+  }
 
-    if (record_watch && owner_->record_assignments_) {
-      owner_->assigned_keys_.insert(
-          WatchKey{owner_module, owner_sub, lhs.canonical_name()});
+  /// Records an assignment through `r` under its owner's watch identity.
+  void note_assignment(const VarRef& r, const std::string& name,
+                       const Value& rhs) {
+    WatchKey key{r.module->name, r.sub ? r.sub->name : std::string(), name};
+    if (owner_->record_assignments_) owner_->assigned_keys_.insert(key);
+    if (!any_watches_) return;
+    auto wit = owner_->watch_stats_.find(key);
+    if (wit == owner_->watch_stats_.end() && !key.subprogram.empty()) {
+      // Module-level fallback (the metagraph keys module variables with an
+      // empty subprogram).
+      key.subprogram.clear();
+      wit = owner_->watch_stats_.find(key);
     }
-    if (record_watch && any_watches_) {
-      WatchKey key{owner_module, owner_sub, lhs.canonical_name()};
-      auto wit = owner_->watch_stats_.find(key);
-      if (wit == owner_->watch_stats_.end() && !owner_sub.empty()) {
-        // Module-level fallback (the metagraph keys module variables with an
-        // empty subprogram).
-        key.subprogram.clear();
-        wit = owner_->watch_stats_.find(key);
-      }
-      if (wit != owner_->watch_stats_.end()) {
-        if (rhs.is_array()) {
-          for (double v : rhs.array) wit->second.record(v);
-        } else if (rhs.is_numeric() || rhs.kind == Value::Kind::kLogical) {
-          wit->second.record(rhs.as_real());
-        }
-      }
+    if (wit == owner_->watch_stats_.end()) return;
+    if (rhs.is_array()) {
+      for (double v : rhs.array) wit->second.record(v);
+    } else if (rhs.is_numeric() || rhs.kind == Value::Kind::kLogical) {
+      wit->second.record(rhs.as_real());
     }
   }
 
@@ -1096,45 +1102,18 @@ struct Interpreter::Impl {
   void store_indexed(Value& dst, const std::vector<lang::ExprPtr>& args,
                      const Value& rhs, Frame& frame, int line) {
     if (!dst.is_array()) fail("subscripted assignment to scalar", line);
-    bool any_slice = false;
-    for (const auto& a : args) {
-      if (is_slice_marker(*a)) any_slice = true;
-    }
-    if (!any_slice) {
-      std::vector<long long> subs;
-      for (const auto& a : args) subs.push_back(eval(*a, frame).as_int());
-      dst.array[dst.flat_index(subs)] = rhs.as_real();
+    Selection sel = select(dst, args, frame, line);
+    if (sel.element()) {
+      dst.array[dst.flat_index(sel.subs)] = rhs.as_real();
       return;
     }
-    if (args.size() != dst.dims.size()) fail("rank mismatch in slice", line);
-    std::vector<long long> fixed(args.size(), -1);
-    std::vector<std::size_t> slice_dims;
-    for (std::size_t k = 0; k < args.size(); ++k) {
-      if (is_slice_marker(*args[k])) {
-        slice_dims.push_back(k);
-      } else {
-        fixed[k] = eval(*args[k], frame).as_int();
-      }
-    }
-    long long total = 1;
-    for (std::size_t k : slice_dims) total *= dst.dims[k];
     if (rhs.is_array() &&
-        rhs.array.size() != static_cast<std::size_t>(total)) {
+        rhs.array.size() != static_cast<std::size_t>(sel.count)) {
       fail("slice assignment size mismatch", line);
     }
-    std::vector<long long> subs(args.size());
-    for (long long flat = 0; flat < total; ++flat) {
-      long long rem = flat;
-      for (std::size_t si = slice_dims.size(); si-- > 0;) {
-        const std::size_t k = slice_dims[si];
-        subs[k] = rem % dst.dims[k] + 1;
-        rem /= dst.dims[k];
-      }
-      for (std::size_t k = 0; k < args.size(); ++k) {
-        if (fixed[k] >= 0) subs[k] = fixed[k];
-      }
-      dst.array[dst.flat_index(subs)] =
-          rhs.is_array() ? rhs.array[static_cast<std::size_t>(flat)]
+    for (long long i = 0; i < sel.count; ++i) {
+      dst.array[sel.at(dst, i)] =
+          rhs.is_array() ? rhs.array[static_cast<std::size_t>(i)]
                          : rhs.as_real();
     }
   }
@@ -1170,6 +1149,16 @@ void Interpreter::set_reassoc_all(bool enabled) {
 
 void Interpreter::set_prng(std::unique_ptr<Prng> prng) {
   prng_ = std::move(prng);
+}
+
+CoverageRecorder& Interpreter::coverage() {
+  impl_->flush_coverage(coverage_);
+  return coverage_;
+}
+
+const CoverageRecorder& Interpreter::coverage() const {
+  impl_->flush_coverage(coverage_);
+  return coverage_;
 }
 
 void Interpreter::add_watch(const WatchKey& key) {

@@ -10,6 +10,16 @@
 // rules the metagraph builder and the analyses use, so a watched variable and
 // the metagraph node it is sampled for are the same binding (§4.2).
 //
+// Inside, each step has one path. One resolver turns a reference into its
+// value slot and owner scope, for reads, argument binding, assignment and
+// `do` variables alike: locals belong to the enclosing subprogram, module
+// variables to their home module, derived components to the assignment
+// site, and parameters read as temporaries. One subscript walker serves
+// gather and scatter, one argument binder (with copy-out) serves user
+// procedures and the builtins, and intrinsics dispatch on the id of their
+// `lang::find_intrinsic` entry. Watch keys are built only while a watch or
+// assignment recording is on.
+//
 // Key capabilities used by the reproduction:
 //   * per-module FMA contraction mode — `a*b + c` evaluated with std::fma
 //     (single rounding) when enabled, mirroring AVX2/FMA codegen differences
@@ -18,7 +28,7 @@
 //     watched variable feeds running statistics, the runtime-sampling
 //     mechanism of Algorithm 5.4 step 7;
 //   * coverage recording at module/subprogram granularity (the paper's
-//     codecov substitute);
+//     codecov substitute), marked per subprogram and named on read;
 //   * `call outfld('LABEL', field)` output capture — the CAM history-file
 //     stand-in, recording per-field global means the ECT consumes.
 #pragma once
@@ -137,8 +147,10 @@ class Interpreter {
     return assigned_keys_;
   }
 
-  CoverageRecorder& coverage() { return coverage_; }
-  const CoverageRecorder& coverage() const { return coverage_; }
+  /// Subprograms run so far. A run marks each subprogram by identity; the
+  /// names are filled in here, on read.
+  CoverageRecorder& coverage();
+  const CoverageRecorder& coverage() const;
 
   /// Output fields recorded via `call outfld('LABEL', value)`, in call
   /// order: (label lower-cased, global mean of the written value).
@@ -168,7 +180,7 @@ class Interpreter {
   std::unordered_map<WatchKey, WatchStats, WatchKeyHash> watch_stats_;
   std::unordered_set<WatchKey, WatchKeyHash> assigned_keys_;
   bool record_assignments_ = false;
-  CoverageRecorder coverage_;
+  mutable CoverageRecorder coverage_;
   std::vector<std::pair<std::string, double>> outputs_;
   std::unique_ptr<Prng> prng_;
   std::uint64_t assignments_executed_ = 0;

@@ -1,7 +1,6 @@
 #include "lang/symbols.hpp"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "support/strings.hpp"
 
@@ -123,13 +122,24 @@ const ProgramSymbols::ModuleSyms* ProgramSymbols::module(
   return it == modules_.end() ? nullptr : &it->second;
 }
 
-bool is_intrinsic_function(const std::string& name) {
-  static const std::unordered_set<std::string> kNames = {
-      "abs",  "sqrt", "exp",  "log",   "log10",  "sin",    "cos",  "tan",
-      "tanh", "min",  "max",  "mod",   "sign",   "floor",  "nint", "aint",
-      "int",  "real", "sum",  "minval", "maxval", "size",  "merge",
+const IntrinsicInfo* find_intrinsic(const std::string& name) {
+  using I = Intrinsic;
+  static const std::unordered_map<std::string, IntrinsicInfo> kIntrinsics = {
+      {"abs", {I::kAbs, false}},       {"sqrt", {I::kSqrt, true}},
+      {"exp", {I::kExp, true}},        {"log", {I::kLog, true}},
+      {"log10", {I::kLog10, true}},    {"sin", {I::kSin, true}},
+      {"cos", {I::kCos, true}},        {"tan", {I::kTan, true}},
+      {"tanh", {I::kTanh, true}},      {"min", {I::kMin, false}},
+      {"max", {I::kMax, false}},       {"mod", {I::kMod, false}},
+      {"sign", {I::kSign, false}},     {"floor", {I::kFloor, false}},
+      {"nint", {I::kNint, false}},     {"aint", {I::kAint, false}},
+      {"int", {I::kInt, false}},       {"real", {I::kReal, false}},
+      {"sum", {I::kSum, false}},       {"minval", {I::kMinval, false}},
+      {"maxval", {I::kMaxval, false}}, {"size", {I::kSize, false}},
+      {"merge", {I::kMerge, false}},
   };
-  return kNames.count(name) != 0;
+  auto it = kIntrinsics.find(name);
+  return it == kIntrinsics.end() ? nullptr : &it->second;
 }
 
 RefBinding classify_ref(const ProgramSymbols::ModuleSyms* syms, const Expr& e,
@@ -149,7 +159,9 @@ RefBinding classify_ref(const ProgramSymbols::ModuleSyms* syms, const Expr& e,
       return {RefKind::kProcedure, nullptr, &pit->second};
     }
   }
-  if (is_intrinsic_function(base)) return {RefKind::kIntrinsic, nullptr, nullptr};
+  if (const IntrinsicInfo* fn = find_intrinsic(base)) {
+    return {RefKind::kIntrinsic, nullptr, nullptr, fn};
+  }
   return {RefKind::kUnresolved, nullptr, nullptr};
 }
 

@@ -19,11 +19,11 @@
 // On top of the table sits the one call-site resolver. `classify_ref` says
 // what a reference denotes at its site, in the order the builder and the
 // interpreter apply: subprogram variable, module variable, then — for the
-// ambiguous `name(...)` form — user procedure, intrinsic, unknown. A user
-// procedure therefore shadows the intrinsic of the same name. `classify_call`
-// does the same for `call` statements, where the builtins `outfld` and
-// `shr_rand_uniform` come first, and `binds_call` is the one arity and
-// function/subroutine filter over the candidates.
+// ambiguous `name(...)` form — user procedure, intrinsic (with its table
+// entry), unknown. A user procedure therefore shadows the intrinsic of the
+// same name. `classify_call` does the same for `call` statements, where the
+// builtins `outfld` and `shr_rand_uniform` come first, and `binds_call` is
+// the one arity and function/subroutine filter over the candidates.
 #pragma once
 
 #include <cstddef>
@@ -89,9 +89,26 @@ class ProgramSymbols {
   std::vector<std::string> errors_;
 };
 
-/// Intrinsic functions (abs, min, max, ...): evaluated by the interpreter,
-/// localized to their call site by the builder (§4.2).
-bool is_intrinsic_function(const std::string& name);
+/// The intrinsic functions: evaluated by the interpreter, localized to their
+/// call site by the builder (§4.2). The table in `find_intrinsic` is the one
+/// list of them; `classify_ref` hands out its entries, so the interpreter
+/// selects an implementation by `id` and fpsense reads `always_real`
+/// without comparing names.
+enum class Intrinsic {
+  kAbs, kSqrt, kExp, kLog, kLog10, kSin, kCos, kTan, kTanh, kMin, kMax,
+  kMod, kSign, kFloor, kNint, kAint, kInt, kReal, kSum, kMinval, kMaxval,
+  kSize, kMerge,
+};
+
+struct IntrinsicInfo {
+  Intrinsic id;
+  // Real-valued whatever the argument types. Only the elemental math
+  // functions carry it; the rest follow their arguments for fpsense.
+  bool always_real;
+};
+
+/// The table entry of intrinsic function `name`, or null.
+const IntrinsicInfo* find_intrinsic(const std::string& name);
 
 /// Host subroutines with dedicated semantics: `call outfld('LABEL', x)`
 /// records history output, `call shr_rand_uniform(x)` fills x from the PRNG.
@@ -114,6 +131,7 @@ struct RefBinding {
   RefKind kind = RefKind::kUnknown;
   const VarBinding* var = nullptr;             // kModuleVar
   const std::vector<ProcRef>* procs = nullptr;  // kProcedure
+  const IntrinsicInfo* intrinsic = nullptr;     // kIntrinsic
 
   /// A call to the analyses: a user procedure or an unresolved callee.
   bool is_call() const {

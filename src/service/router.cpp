@@ -91,7 +91,36 @@ Response retriable_error_response(int status, const std::string& code,
 Router::Router(SessionStore* store, RouterOptions opts)
     : store_(store),
       opts_(std::move(opts)),
-      started_at_(std::chrono::steady_clock::now()) {}
+      started_at_(std::chrono::steady_clock::now()) {
+  using Handler = Response (Router::*)(const JsonValue&);
+  const std::pair<const char*, Handler> kBuiltins[] = {
+      {"/v1/graph/build", &Router::handle_build},
+      {"/v1/slice", &Router::handle_slice},
+      {"/v1/communities", &Router::handle_communities},
+      {"/v1/rank", &Router::handle_rank},
+      {"/v1/lint", &Router::handle_lint},
+      {"/v1/session/patch", &Router::handle_patch},
+  };
+  for (const auto& [path, handler] : kBuiltins) {
+    add_route("POST", path,
+              [this, handler = handler](const Request&, const JsonValue& body) {
+                return (this->*handler)(body);
+              });
+  }
+  if (opts_.enable_test_routes) {
+    add_route("POST", "/v1/_test/sleep",
+              [](const Request&, const JsonValue& body) {
+                const long long ms = body.get_int("ms", 0);
+                std::this_thread::sleep_for(std::chrono::milliseconds(ms));
+                JsonWriter w;
+                w.begin_object();
+                w.key("slept_ms");
+                w.integer(ms);
+                w.end_object();
+                return Response{200, w.str() + "\n"};
+              });
+  }
+}
 
 void Router::add_route(const std::string& method, const std::string& path,
                        RouteHandler handler) {
@@ -212,48 +241,15 @@ Response Router::handle(const Request& req) {
 }
 
 Response Router::dispatch(const Request& req, const JsonValue& body) {
-  if (req.path == "/v1/graph/build") {
-    if (req.method != "POST") fail(405, "method_not_allowed", "POST only");
-    return handle_build(body);
+  auto pit = routes_.find(req.path);
+  if (pit == routes_.end()) {
+    fail(404, "not_found", "unknown endpoint " + req.path);
   }
-  if (req.path == "/v1/slice") {
-    if (req.method != "POST") fail(405, "method_not_allowed", "POST only");
-    return handle_slice(body);
+  auto mit = pit->second.find(req.method);
+  if (mit == pit->second.end()) {
+    fail(405, "method_not_allowed", "unsupported method for " + req.path);
   }
-  if (req.path == "/v1/communities") {
-    if (req.method != "POST") fail(405, "method_not_allowed", "POST only");
-    return handle_communities(body);
-  }
-  if (req.path == "/v1/rank") {
-    if (req.method != "POST") fail(405, "method_not_allowed", "POST only");
-    return handle_rank(body);
-  }
-  if (req.path == "/v1/lint") {
-    if (req.method != "POST") fail(405, "method_not_allowed", "POST only");
-    return handle_lint(body);
-  }
-  if (req.path == "/v1/session/patch") {
-    if (req.method != "POST") fail(405, "method_not_allowed", "POST only");
-    return handle_patch(body);
-  }
-  if (auto pit = routes_.find(req.path); pit != routes_.end()) {
-    auto mit = pit->second.find(req.method);
-    if (mit == pit->second.end()) {
-      fail(405, "method_not_allowed", "unsupported method for " + req.path);
-    }
-    return mit->second(req, body);
-  }
-  if (opts_.enable_test_routes && req.path == "/v1/_test/sleep") {
-    const long long ms = body.get_int("ms", 0);
-    std::this_thread::sleep_for(std::chrono::milliseconds(ms));
-    JsonWriter w;
-    w.begin_object();
-    w.key("slept_ms");
-    w.integer(ms);
-    w.end_object();
-    return Response{200, w.str() + "\n"};
-  }
-  fail(404, "not_found", "unknown endpoint " + req.path);
+  return mit->second(req, body);
 }
 
 Response Router::handle_health() const {

@@ -195,7 +195,8 @@ class Router {
   std::atomic<bool> warming_{false};
   /// Process-lifetime anchor for /v1/health uptime_ms.
   std::chrono::steady_clock::time_point started_at_;
-  /// path -> method -> handler, for add_route endpoints.
+  /// path -> method -> handler: the built-in endpoints, registered by the
+  /// constructor, and every add_route endpoint.
   std::map<std::string, std::map<std::string, RouteHandler>> routes_;
 };
 

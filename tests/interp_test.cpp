@@ -612,6 +612,93 @@ end module
   EXPECT_DOUBLE_EQ(in.module_var("m", "grid")->array[0], 1.0);  // (1,1)
 }
 
+TEST_F(InterpTest, RowSliceGathersOn2D) {
+  auto& in = load(R"(
+module m
+  real :: a(2, 3)
+  real :: row(3)
+contains
+  subroutine go()
+    integer :: i, j
+    do i = 1, 2
+      do j = 1, 3
+        a(i, j) = 10.0 * i + j
+      end do
+    end do
+    row = a(2, :)
+  end subroutine
+end module
+)");
+  in.call("m", "go");
+  EXPECT_EQ(in.module_var("m", "row")->array,
+            (std::vector<double>{21.0, 22.0, 23.0}));
+}
+
+TEST_F(InterpTest, PrngBuiltinCopiesOutOnlyTheElementActual) {
+  auto& in = load(R"(
+module m
+  real :: v(5)
+contains
+  subroutine go()
+    v = 0.0
+    call shr_rand_uniform(v(3))
+  end subroutine
+end module
+)");
+  in.call("m", "go");
+  const std::vector<double>& v = in.module_var("m", "v")->array;
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    if (i == 2) continue;
+    EXPECT_EQ(v[i], 0.0) << "v(" << i + 1 << ")";
+  }
+  EXPECT_GE(v[2], 0.0);
+  EXPECT_LT(v[2], 1.0);
+  EXPECT_NE(v[2], 0.0);
+}
+
+TEST_F(InterpTest, DerivedComponentIsWatchedAtItsAssignmentSite) {
+  auto& in = load(R"(
+module m
+  type state_t
+    real :: t
+  end type
+  type(state_t) :: s
+contains
+  subroutine set_t()
+    s%t = 2.0
+  end subroutine
+end module
+)");
+  in.add_watch(WatchKey{"m", "set_t", "t"});
+  in.set_record_assignments(true);
+  in.call("m", "set_t");
+  auto it = in.watch_stats().find(WatchKey{"m", "set_t", "t"});
+  ASSERT_NE(it, in.watch_stats().end());
+  EXPECT_EQ(it->second.count, 1u);
+  EXPECT_EQ(it->second.last, 2.0);
+  EXPECT_EQ(in.assigned_keys().count(WatchKey{"m", "set_t", "t"}), 1u);
+}
+
+TEST_F(InterpTest, ModuleParameterActualIsNotWrittenBack) {
+  auto& in = load(R"(
+module m
+  real, parameter :: c = 1.5
+  real :: after
+contains
+  subroutine clobber(v)
+    real :: v
+    v = 9.0
+  end subroutine
+  subroutine go()
+    call clobber(c)
+    after = c
+  end subroutine
+end module
+)");
+  in.call("m", "go");
+  EXPECT_EQ(in.module_var("m", "after")->as_real(), 1.5);
+}
+
 TEST_F(InterpTest, RuntimeErrorsCarryLineInfo) {
   auto& in = load(R"(
 module m
