@@ -48,6 +48,8 @@
 //                        [--snapshot DIR]
 //
 // `--jobs N` parses/builds on N worker threads (bit-identical to serial);
+// for `analyze` and `score` the same threads also run the ensemble and
+// experimental-set members, again bit-identical to serial;
 // `--snapshot DIR` caches built metagraphs keyed on source content, so an
 // unchanged corpus skips parse+build (counter meta.snapshot.hits).
 //
@@ -138,6 +140,12 @@ int usage() {
       "  --samples N          betweenness pivot sample size (0 = exact),\n"
       "  --seed N             and its seed (default 2019)\n"
       "\n"
+      "analyze options:\n"
+      "  --members N          ensemble members (default 30)\n"
+      "  --jobs N             worker threads for parse/build and for the\n"
+      "                       ensemble and experimental-set runs (default\n"
+      "                       serial; output is the same at any N)\n"
+      "\n"
       "refine options:\n"
       "  --scenario NAME      planted scenario (see `score`); generates the\n"
       "                       corpus and derives ground truth + criteria\n"
@@ -156,6 +164,7 @@ int usage() {
       "  --top N              hit threshold top-m (default 15)\n"
       "  --members N          ensemble members (default 40)\n"
       "  --runtime            RuntimeSampler instead of simulated sampling\n"
+      "  --jobs N             as for analyze\n"
       "  --json FILE          write the rca.campaign.score.v1 scoreboard\n"
       "\n"
       "watch options:\n"

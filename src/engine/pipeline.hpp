@@ -31,8 +31,13 @@ struct PipelineConfig {
   std::size_t drop_small_components = 4;
   RefinementOptions refinement;
   /// Worker threads for the parallel front end (corpus parse, metagraph
-  /// build, multi-target slice) plus per-community sampling and parallel
+  /// build, multi-target slice), the members of the accepted ensemble and
+  /// of every experimental set, plus per-community sampling and parallel
   /// betweenness (Algorithm 5.4's "performed in parallel"). 0 = serial.
+  /// Results are bit-identical at any count. The models run their members
+  /// on this pool, so no task on it may build an ensemble or experimental
+  /// set (it would wait on its own workers); the per-community samplers
+  /// only call `CesmModel::run`, which stays serial.
   std::size_t threads = 0;
   /// Metagraph snapshot-cache directory. Non-empty enables the cache: the
   /// coverage run + metagraph build are skipped when a snapshot keyed on the

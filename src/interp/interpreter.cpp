@@ -129,11 +129,12 @@ struct Interpreter::Impl {
     std::unordered_map<std::string, ValueSlot> locals;
   };
 
-  Impl(Interpreter* owner, const std::vector<const Module*>& modules)
-      : owner_(owner), symbols_(modules) {}
+  Impl(Interpreter* owner,
+       std::shared_ptr<const lang::ProgramSymbols> symbols)
+      : owner_(owner), symbols_(std::move(symbols)) {}
 
   Interpreter* owner_;
-  const lang::ProgramSymbols symbols_;
+  const std::shared_ptr<const lang::ProgramSymbols> symbols_;
   std::unordered_map<const Module*, ModuleCtx> modules_;
   bool any_watches_ = false;
   // Subprograms in the order they first ran since coverage was last read.
@@ -153,7 +154,7 @@ struct Interpreter::Impl {
 
   /// Module `name` for public entry point `api`; throws for unknown names.
   ModuleCtx& module_named(const char* api, const std::string& name) {
-    const auto* syms = symbols_.module(name);
+    const auto* syms = symbols_->module(name);
     if (syms == nullptr) {
       throw EvalError(std::string(api) + ": unknown module '" + name + "'");
     }
@@ -165,11 +166,11 @@ struct Interpreter::Impl {
   // -------------------------------------------------------------------------
 
   void load(const std::vector<const Module*>& mods) {
-    if (!symbols_.errors().empty()) fail(symbols_.errors().front());
+    if (!symbols_->errors().empty()) fail(symbols_->errors().front());
     for (const Module* m : mods) {
       ModuleCtx& c = modules_[m];
       c.ast = m;
-      c.syms = symbols_.module(m->name);
+      c.syms = symbols_->module(m->name);
       c.ran.assign(m->subprograms.size(), 0);
       for (const auto& d : m->decls) {
         (d.is_parameter ? c.params : c.vars)[d.name] = nullptr;
@@ -846,25 +847,31 @@ struct Interpreter::Impl {
       frame.locals[sp.params[i]] = actuals[i].slot;
     }
     // Allocate locals (skip dummies; allocate the function result).
+    // Each name is hashed once: its slot is inserted empty, then filled.
+    // Map elements stay put when the map grows, so slots can be kept.
     for (const auto& d : sp.decls) {
-      if (frame.locals.count(d.name)) continue;  // dummy argument
+      auto [it, inserted] = frame.locals.try_emplace(d.name);
+      if (!inserted) continue;  // dummy argument
+      ValueSlot& slot = it->second;
       if (d.is_parameter) {
         Frame pf;
         pf.module = frame.module;
-        frame.locals[d.name] = std::make_shared<Value>(eval(*d.init, pf));
-        continue;
+        slot = std::make_shared<Value>(eval(*d.init, pf));
+      } else {
+        slot = std::make_shared<Value>(allocate(d, frame));
       }
-      frame.locals[d.name] = std::make_shared<Value>(allocate(d, frame));
     }
-    if (sp.is_function() && !frame.locals.count(sp.result_name)) {
-      frame.locals[sp.result_name] =
-          std::make_shared<Value>(Value::make_real(0.0));
+    ValueSlot* result = nullptr;
+    if (sp.is_function()) {
+      auto [it, inserted] = frame.locals.try_emplace(sp.result_name);
+      if (inserted) it->second = std::make_shared<Value>(Value::make_real(0.0));
+      result = &it->second;
     }
 
     for (const auto& st : sp.body) {
       if (exec(*st, frame) == Flow::kReturn) break;
     }
-    if (sp.is_function()) return frame.locals[sp.result_name];
+    if (result != nullptr) return *result;
     return {};
   }
 
@@ -1124,7 +1131,12 @@ struct Interpreter::Impl {
 // ===========================================================================
 
 Interpreter::Interpreter(std::vector<const Module*> modules)
-    : impl_(std::make_unique<Impl>(this, modules)),
+    : Interpreter(modules,
+                  std::make_shared<const lang::ProgramSymbols>(modules)) {}
+
+Interpreter::Interpreter(std::vector<const Module*> modules,
+                         std::shared_ptr<const lang::ProgramSymbols> symbols)
+    : impl_(std::make_unique<Impl>(this, std::move(symbols))),
       prng_(std::make_unique<KissRng>()) {
   impl_->load(modules);
 }

@@ -43,6 +43,10 @@
 #include "lang/ast.hpp"
 #include "support/rng.hpp"
 
+namespace rca::lang {
+class ProgramSymbols;
+}
+
 namespace rca::interp {
 
 /// Identity of a watchable variable; matches metagraph node identity.
@@ -108,6 +112,12 @@ class Interpreter {
   /// duplicate module, a dangling interface procedure, a use of an unknown
   /// module or only-list entity) or on an unresolvable parameter.
   explicit Interpreter(std::vector<const lang::Module*> modules);
+
+  /// The same load over a table already built from exactly `modules`, so
+  /// many runs of one corpus share one read-only table (concurrent
+  /// interpreters may share it too). Errors are as above.
+  Interpreter(std::vector<const lang::Module*> modules,
+              std::shared_ptr<const lang::ProgramSymbols> symbols);
   ~Interpreter();
 
   Interpreter(const Interpreter&) = delete;

@@ -1,10 +1,12 @@
 #include "model/model.hpp"
 
 #include <algorithm>
+#include <exception>
 #include <map>
 #include <optional>
 
 #include "lang/parser.hpp"
+#include "lang/symbols.hpp"
 #include "obs/obs.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
@@ -13,7 +15,7 @@
 namespace rca::model {
 
 CesmModel::CesmModel(const CorpusSpec& spec, rca::ThreadPool* pool)
-    : spec_(spec), corpus_(generate_corpus(spec)) {
+    : spec_(spec), corpus_(generate_corpus(spec)), pool_(pool) {
   // Parse only the compiled (build-configuration) files — the KGen-style
   // 2400 -> 820 reduction happens before parsing in the paper too.
   std::unordered_map<std::string, bool> compiled;
@@ -57,6 +59,7 @@ CesmModel::CesmModel(const CorpusSpec& spec, rca::ThreadPool* pool)
       if (compiled.count(m.name)) module_ptrs_.push_back(&m);
     }
   }
+  symbols_ = std::make_shared<const lang::ProgramSymbols>(module_ptrs_);
 }
 
 namespace {
@@ -82,8 +85,11 @@ void perturb_initial_conditions(interp::Interpreter& interp,
 }
 
 std::unique_ptr<interp::Interpreter> make_interpreter(
-    const std::vector<const lang::Module*>& modules, const RunConfig& config) {
-  auto interp = std::make_unique<interp::Interpreter>(modules);
+    const std::vector<const lang::Module*>& modules,
+    std::shared_ptr<const lang::ProgramSymbols> symbols,
+    const RunConfig& config) {
+  auto interp =
+      std::make_unique<interp::Interpreter>(modules, std::move(symbols));
   interp->set_prng(make_prng(config.prng_kind, config.prng_seed));
   if (config.fma_all) interp->set_fma_all(true);
   for (const auto& m : config.fma_disabled_modules) {
@@ -94,13 +100,33 @@ std::unique_ptr<interp::Interpreter> make_interpreter(
   return interp;
 }
 
+interp::CoverageRecorder run_driver_coverage(
+    const std::vector<const lang::Module*>& modules,
+    std::shared_ptr<const lang::ProgramSymbols> symbols, int timesteps) {
+  const bool has_driver =
+      std::any_of(modules.begin(), modules.end(), [](const lang::Module* m) {
+        return m->name == "cam_driver" && m->find_subprogram("cam_init") &&
+               m->find_subprogram("cam_step");
+      });
+  if (!has_driver) {
+    throw Error(
+        "coverage needs module 'cam_driver' with cam_init and cam_step");
+  }
+  auto interp = make_interpreter(modules, std::move(symbols), RunConfig{});
+  interp->call("cam_driver", "cam_init");
+  for (int step = 0; step < timesteps; ++step) {
+    interp->call("cam_driver", "cam_step");
+  }
+  return interp->coverage();
+}
+
 }  // namespace
 
 RunResult CesmModel::run(const RunConfig& config) const {
   obs::count("model.runs");
   obs::count("model.timesteps", static_cast<std::uint64_t>(config.timesteps));
   obs::count("model.watches", config.watches.size());
-  auto interp = make_interpreter(module_ptrs_, config);
+  auto interp = make_interpreter(module_ptrs_, symbols_, config);
   interp->call("cam_driver", "cam_init");
   perturb_initial_conditions(*interp, config.member_seed, config.perturbation);
   for (int step = 0; step < config.timesteps; ++step) {
@@ -123,26 +149,46 @@ RunResult CesmModel::run(const RunConfig& config) const {
 }
 
 interp::CoverageRecorder CesmModel::coverage_run(int timesteps) const {
-  return driver_coverage(module_ptrs_, timesteps);
+  return run_driver_coverage(module_ptrs_, symbols_, timesteps);
 }
 
 interp::CoverageRecorder driver_coverage(
     const std::vector<const lang::Module*>& modules, int timesteps) {
-  const bool has_driver =
-      std::any_of(modules.begin(), modules.end(), [](const lang::Module* m) {
-        return m->name == "cam_driver" && m->find_subprogram("cam_init") &&
-               m->find_subprogram("cam_step");
+  return run_driver_coverage(
+      modules, std::make_shared<const lang::ProgramSymbols>(modules),
+      timesteps);
+}
+
+std::vector<RunResult> CesmModel::run_members(const RunConfig& base,
+                                              std::size_t count,
+                                              std::uint64_t first_seed) const {
+  auto member = [this, &base, first_seed](std::size_t i) {
+    RunConfig config = base;
+    config.member_seed = first_seed + i;
+    return run(config);
+  };
+  std::vector<RunResult> results;
+  if (pool_ == nullptr) {
+    results.reserve(count);
+    for (std::size_t i = 0; i < count; ++i) results.push_back(member(i));
+    return results;
+  }
+  // Every member runs to completion or failure; the first failure in index
+  // order is the one a serial loop would have stopped at.
+  std::vector<std::exception_ptr> errors(count);
+  results = pool_->parallel_map<RunResult>(
+      count, [&member, &errors](std::size_t i) {
+        try {
+          return member(i);
+        } catch (...) {
+          errors[i] = std::current_exception();
+          return RunResult{};
+        }
       });
-  if (!has_driver) {
-    throw Error(
-        "coverage needs module 'cam_driver' with cam_init and cam_step");
+  for (const std::exception_ptr& e : errors) {
+    if (e) std::rethrow_exception(e);
   }
-  auto interp = make_interpreter(modules, RunConfig{});
-  interp->call("cam_driver", "cam_init");
-  for (int step = 0; step < timesteps; ++step) {
-    interp->call("cam_driver", "cam_step");
-  }
-  return interp->coverage();
+  return results;
 }
 
 stats::Matrix ensemble_matrix(const CesmModel& model, const RunConfig& base,
@@ -152,19 +198,15 @@ stats::Matrix ensemble_matrix(const CesmModel& model, const RunConfig& base,
   RCA_CHECK_MSG(members >= 2, "ensemble needs at least two members");
   obs::Span span("model.ensemble");
   span.attr("members", members);
-  stats::Matrix data;
+  const std::vector<RunResult> runs =
+      model.run_members(base, members, first_seed);
+  if (names) *names = runs[0].output_names;
+  stats::Matrix data(members, runs[0].output_means.size());
   for (std::size_t m = 0; m < members; ++m) {
-    RunConfig config = base;
-    config.member_seed = first_seed + m;
-    RunResult r = model.run(config);
-    if (m == 0) {
-      if (names) *names = r.output_names;
-      data = stats::Matrix(members, r.output_means.size());
-    }
-    RCA_CHECK_MSG(r.output_means.size() == data.cols(),
+    RCA_CHECK_MSG(runs[m].output_means.size() == data.cols(),
                   "inconsistent output width across members");
-    for (std::size_t j = 0; j < r.output_means.size(); ++j) {
-      data.at(m, j) = r.output_means[j];
+    for (std::size_t j = 0; j < data.cols(); ++j) {
+      data.at(m, j) = runs[m].output_means[j];
     }
   }
   return data;
@@ -173,12 +215,10 @@ stats::Matrix ensemble_matrix(const CesmModel& model, const RunConfig& base,
 std::vector<std::vector<double>> experiment_set(
     const CesmModel& model, const RunConfig& base, std::size_t runs,
     std::uint64_t first_seed, const std::vector<std::string>& names) {
+  std::vector<RunResult> results = model.run_members(base, runs, first_seed);
   std::vector<std::vector<double>> out;
   out.reserve(runs);
-  for (std::size_t r = 0; r < runs; ++r) {
-    RunConfig config = base;
-    config.member_seed = first_seed + r;
-    RunResult result = model.run(config);
+  for (RunResult& result : results) {
     RCA_CHECK_MSG(result.output_names == names,
                   "experimental run output labels differ from ensemble");
     out.push_back(std::move(result.output_means));

@@ -64,6 +64,10 @@ class CesmModel {
   /// When `pool` is non-null the corpus files are lexed/parsed concurrently
   /// (each file is independent); the compiled-module filter then runs
   /// serially in file order, so the module list is identical either way.
+  /// The model keeps `pool` (it must outlive the model) and runs the members
+  /// of `run_members`, `ensemble_matrix` and `experiment_set` on it, so
+  /// those must never be called from a task running on the same pool: its
+  /// workers would wait on each other. `run` itself stays serial.
   explicit CesmModel(const CorpusSpec& spec, rca::ThreadPool* pool = nullptr);
 
   const CorpusSpec& spec() const { return spec_; }
@@ -81,6 +85,13 @@ class CesmModel {
   /// Execute one run.
   RunResult run(const RunConfig& config) const;
 
+  /// `count` runs of `base`, run i with member seed `first_seed + i`, on the
+  /// model's pool (serially without one). Results are in index order and do
+  /// not depend on the scheduling; when runs throw, the lowest-index error
+  /// propagates, as it would serially.
+  std::vector<RunResult> run_members(const RunConfig& base, std::size_t count,
+                                     std::uint64_t first_seed) const;
+
   /// Short instrumented run recording module/subprogram coverage (the
   /// codecov substitute; the paper uses the second time step).
   interp::CoverageRecorder coverage_run(int timesteps = 2) const;
@@ -90,6 +101,9 @@ class CesmModel {
   GeneratedCorpus corpus_;
   std::vector<lang::SourceFile> parsed_files_;
   std::vector<const lang::Module*> module_ptrs_;
+  // One name table for every run of the compiled modules.
+  std::shared_ptr<const lang::ProgramSymbols> symbols_;
+  rca::ThreadPool* pool_ = nullptr;
   std::size_t parse_failures_ = 0;
 };
 
@@ -99,15 +113,16 @@ class CesmModel {
 interp::CoverageRecorder driver_coverage(
     const std::vector<const lang::Module*>& modules, int timesteps);
 
-/// Ensemble of `members` control runs; returns rows = members, cols =
-/// variables, and fills `names` with the output labels (sorted).
+/// Ensemble of `members` control runs (`model.run_members`); returns rows =
+/// members, cols = variables, and fills `names` with the output labels
+/// (sorted).
 stats::Matrix ensemble_matrix(const CesmModel& model, const RunConfig& base,
                               std::size_t members,
                               std::vector<std::string>* names,
                               std::uint64_t first_seed = 1);
 
-/// One experimental set of `runs` runs with seeds first_seed.. — the
-/// 3-run sets pyCECT evaluates.
+/// One experimental set of `runs` runs with seeds first_seed..
+/// (`model.run_members`) — the 3-run sets pyCECT evaluates.
 std::vector<std::vector<double>> experiment_set(
     const CesmModel& model, const RunConfig& base, std::size_t runs,
     std::uint64_t first_seed, const std::vector<std::string>& names);

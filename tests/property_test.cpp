@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "ect/ect.hpp"
 #include "graph/betweenness.hpp"
@@ -20,6 +21,7 @@
 #include "model/corpus.hpp"
 #include "model/model.hpp"
 #include "slice/slicer.hpp"
+#include "support/error.hpp"
 #include "support/rng.hpp"
 #include "support/thread_pool.hpp"
 
@@ -313,6 +315,78 @@ TEST_P(ParallelDeterminism, ParallelSliceEqualsSerialNodeForNode) {
     EXPECT_EQ(par.targets, serial.targets);
     EXPECT_EQ(par.subgraph.edge_count(), serial.subgraph.edge_count());
   }
+}
+
+// Ensemble and experimental-set members run on the model's pool; the
+// assembled matrix, the set's rows and the ECT verdict on them must be
+// bitwise the same with no pool and at any worker count.
+TEST_P(ParallelDeterminism, ModelRunsAreBitIdenticalAtAnyPoolSize) {
+  const model::CorpusSpec spec = small_spec(GetParam());
+  model::RunConfig perturbed;
+  perturbed.fma_all = true;
+  struct Outcome {
+    stats::Matrix ensemble;
+    std::vector<std::string> names;
+    std::vector<std::vector<double>> runs;
+    ect::Verdict verdict;
+  };
+  auto outcome = [&spec, &perturbed](ThreadPool* pool) {
+    const model::CesmModel m(spec, pool);
+    Outcome o;
+    o.ensemble = model::ensemble_matrix(m, model::RunConfig{}, 8, &o.names);
+    o.runs = model::experiment_set(m, perturbed, 3, 500, o.names);
+    o.verdict =
+        ect::EnsembleConsistencyTest(o.ensemble, o.names).evaluate(o.runs);
+    return o;
+  };
+  auto same_bits = [](const std::vector<double>& a,
+                      const std::vector<double>& b) {
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+  };
+
+  const Outcome serial = outcome(nullptr);
+  ASSERT_FALSE(serial.names.empty());
+  for (std::size_t jobs : {1u, 2u, 8u}) {
+    ThreadPool pool(jobs);
+    const Outcome par = outcome(&pool);
+    EXPECT_TRUE(same_bits(par.ensemble.data(), serial.ensemble.data()))
+        << "ensemble diverges at " << jobs << " workers";
+    EXPECT_EQ(par.names, serial.names);
+    ASSERT_EQ(par.runs.size(), serial.runs.size());
+    for (std::size_t r = 0; r < serial.runs.size(); ++r) {
+      EXPECT_TRUE(same_bits(par.runs[r], serial.runs[r]))
+          << "run " << r << " diverges at " << jobs << " workers";
+    }
+    EXPECT_EQ(par.verdict.pass, serial.verdict.pass);
+    EXPECT_EQ(par.verdict.failing_pcs, serial.verdict.failing_pcs);
+  }
+}
+
+// A failing member reports the same error with and without a pool: a
+// label check over the assembled rows, and a throw inside every run.
+TEST_P(ParallelDeterminism, FailingMembersThrowTheSameErrorAtAnyPoolSize) {
+  const model::CorpusSpec spec = small_spec(GetParam());
+  model::RunConfig unknown_module;
+  unknown_module.fma_disabled_modules = {"no_such_module"};
+  auto errors = [&spec, &unknown_module](ThreadPool* pool) {
+    const model::CesmModel m(spec, pool);
+    std::vector<std::string> out;
+    for (const model::RunConfig& config : {model::RunConfig{}, unknown_module}) {
+      try {
+        model::experiment_set(m, config, 3, 1, {"no_such_label"});
+        out.push_back("no error");
+      } catch (const Error& e) {
+        out.push_back(e.what());
+      }
+    }
+    return out;
+  };
+  const std::vector<std::string> serial = errors(nullptr);
+  EXPECT_NE(serial[0].find("labels differ"), std::string::npos) << serial[0];
+  EXPECT_NE(serial[1].find("no_such_module"), std::string::npos) << serial[1];
+  ThreadPool pool(4);
+  EXPECT_EQ(errors(&pool), serial);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ParallelDeterminism,
